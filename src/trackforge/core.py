@@ -80,6 +80,28 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return float(min(inter / union, 1.0))
 
 
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise IoU of (n, 4) and (m, 4) tlwh boxes as an (n, m) matrix.
+
+    Entry (i, j) equals ``iou`` of box i of ``a`` and box j of ``b`` bit for
+    bit: the same right/bottom sums and union order, 0.0 for boxes that are
+    disjoint or only touch, and the same clamp to 1.
+    """
+    a = np.asarray(a, dtype=np.float64).reshape(-1, 4)[:, None, :]
+    b = np.asarray(b, dtype=np.float64).reshape(-1, 4)[None, :, :]
+    inter_w = np.minimum(a[..., 0] + a[..., 2], b[..., 0] + b[..., 2]) - np.maximum(
+        a[..., 0], b[..., 0]
+    )
+    inter_h = np.minimum(a[..., 1] + a[..., 3], b[..., 1] + b[..., 3]) - np.maximum(
+        a[..., 1], b[..., 1]
+    )
+    # A non-positive overlap on either axis makes the intersection exactly 0,
+    # so the ratio below is 0 without a separate disjoint case.
+    inter = np.maximum(inter_w, 0.0) * np.maximum(inter_h, 0.0)
+    union = a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3] - inter
+    return np.minimum(inter / union, 1.0)
+
+
 def box_to_measurement(box: BoundingBox) -> np.ndarray:
     """Convert a box to the Kalman measurement vector (cx, cy, aspect, h)."""
     return np.array(
@@ -98,16 +120,23 @@ def measurement_to_box(measurement: np.ndarray) -> BoundingBox:
 
 
 def normalize(values: np.ndarray) -> np.ndarray:
-    """Scale a vector to unit Euclidean norm, returned as float32.
+    """Scale a vector, or each row of an (M, D) stack, to unit Euclidean norm, as float32.
 
-    Raises DegenerateEmbeddingError for (near-)zero or non-finite input.
+    Raises DegenerateEmbeddingError for (near-)zero or non-finite input in any row.
     """
     v = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(v)):
         raise DegenerateEmbeddingError("embedding contains non-finite values")
-    norm = float(np.linalg.norm(v))
-    if norm < 1e-12:
-        raise DegenerateEmbeddingError(f"embedding norm too small to normalize: {norm!r}")
+    if v.ndim == 1:  # the per-detection case: one dot product, cheapest per call
+        norm = float(np.linalg.norm(v))
+        degenerate = norm < 1e-12
+    else:
+        norm = np.linalg.norm(v, axis=-1, keepdims=True)
+        degenerate = bool(np.any(norm < 1e-12))
+    if degenerate:
+        raise DegenerateEmbeddingError(
+            f"embedding norm too small to normalize: {float(np.min(norm))!r}"
+        )
     return (v / norm).astype(np.float32)
 
 

@@ -5,6 +5,13 @@ Process and measurement noise scale with box height, apart from the aspect
 ratio which uses small fixed standard deviations; all weights live in
 :class:`MotionNoise` and are configurable.
 
+Every operation broadcasts over leading axes, so one call serves a whole
+stack of tracks: a :class:`KalmanState` holds either one track (mean ``(8,)``,
+covariance ``(8, 8)``) or T tracks (``(T, 8)`` and ``(T, 8, 8)``), and a stack
+is the same arithmetic as its slices. The 4x4 innovation covariances are
+factored with one batched Cholesky call; a covariance that is singular or not
+finite in any row raises :class:`NumericError`.
+
 All operations are value-in/value-out: states are never mutated, so a state
 can be shared or replayed freely.
 """
@@ -14,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidMeasurementError, NumericError
 
@@ -23,6 +29,8 @@ from .errors import InvalidMeasurementError, NumericError
 CHI2_GATE_95_4DOF = 9.4877
 
 _DIM = 4  # measurement dimension; state is 2 * _DIM
+_MEASURE_DIAG = np.arange(_DIM)
+_STATE_DIAG = np.arange(2 * _DIM)
 
 
 @dataclass(frozen=True)
@@ -43,14 +51,18 @@ class MotionNoise:
 
 @dataclass(frozen=True)
 class KalmanState:
-    """Gaussian state: mean (cx, cy, a, h, vcx, vcy, va, vh) and 8x8 covariance."""
+    """Gaussian state: mean (cx, cy, a, h, vcx, vcy, va, vh) and 8x8 covariance.
+
+    Shapes are ``(8,)`` and ``(8, 8)`` for one track, ``(T, 8)`` and
+    ``(T, 8, 8)`` for a stack of T tracks.
+    """
 
     mean: np.ndarray
     covariance: np.ndarray
 
 
 class KalmanFilter:
-    """Predict/update cycle for one track's motion state."""
+    """Predict/update cycle for one track's motion state or a stack of them."""
 
     def __init__(self, noise: MotionNoise | None = None) -> None:
         self.noise = noise or MotionNoise()
@@ -59,7 +71,7 @@ class KalmanFilter:
         self._observe = np.eye(_DIM, 2 * _DIM)
 
     def initiate(self, measurement: np.ndarray) -> KalmanState:
-        """Create a state from an unassociated measurement, zero velocity."""
+        """Create a single-track state from an unassociated measurement, zero velocity."""
         z = np.asarray(measurement, dtype=np.float64)
         h = float(z[3])
         if h <= 0:
@@ -82,65 +94,108 @@ class KalmanFilter:
 
     def predict(self, state: KalmanState) -> KalmanState:
         """Advance one frame: position += velocity, covariance grows by Q."""
-        h = float(state.mean[3])
+        h = state.mean[..., 3]
         wp, wv = self.noise.std_weight_position, self.noise.std_weight_velocity
-        std = np.array(
+        fixed = np.ones_like(h)
+        std = np.stack(
             [
                 wp * h,
                 wp * h,
-                self.noise.std_aspect,
+                self.noise.std_aspect * fixed,
                 wp * h,
                 wv * h,
                 wv * h,
-                self.noise.std_aspect_velocity,
+                self.noise.std_aspect_velocity * fixed,
                 wv * h,
-            ]
+            ],
+            axis=-1,
         )
-        mean = self._motion @ state.mean
-        covariance = self._motion @ state.covariance @ self._motion.T + np.diag(std**2)
+        mean = state.mean @ self._motion.T
+        covariance = self._motion @ state.covariance @ self._motion.T
+        covariance[..., _STATE_DIAG, _STATE_DIAG] += std**2
         return KalmanState(mean=mean, covariance=_symmetrize(covariance))
 
     def project(self, state: KalmanState) -> tuple[np.ndarray, np.ndarray]:
         """Project the state into measurement space: (mean4, innovation covariance)."""
-        h = float(state.mean[3])
+        h = state.mean[..., 3]
         wp = self.noise.std_weight_position
-        std = np.array([wp * h, wp * h, self.noise.std_aspect_measurement, wp * h])
-        mean = self._observe @ state.mean
-        cov = self._observe @ state.covariance @ self._observe.T + np.diag(std**2)
+        std = np.stack(
+            [wp * h, wp * h, self.noise.std_aspect_measurement * np.ones_like(h), wp * h],
+            axis=-1,
+        )
+        mean = state.mean @ self._observe.T
+        cov = self._observe @ state.covariance @ self._observe.T
+        cov[..., _MEASURE_DIAG, _MEASURE_DIAG] += std**2
         return mean, cov
 
     def update(self, state: KalmanState, measurement: np.ndarray) -> KalmanState:
-        """Condition the state on a measurement; shrinks measured-subspace variance."""
+        """Condition the state on a measurement; shrinks measured-subspace variance.
+
+        ``measurement`` is ``(4,)`` for one track, ``(T, 4)`` for a stack.
+        """
         z = np.asarray(measurement, dtype=np.float64)
         projected_mean, projected_cov = self.project(state)
-        try:
-            chol = scipy.linalg.cho_factor(projected_cov, lower=True, check_finite=False)
-            gain = scipy.linalg.cho_solve(
-                chol, (state.covariance @ self._observe.T).T, check_finite=False
-            ).T
-        except scipy.linalg.LinAlgError as exc:
-            raise NumericError(f"innovation covariance is singular: {exc}") from exc
+        chol = _cholesky(projected_cov, "innovation covariance")
+        # gain = P H^T S^-1 = X^T for S X = H P, solved with S = L L^T (P is symmetric).
+        cross = self._observe @ state.covariance
+        gain = _swap(_back_substitute(chol, _forward_substitute(chol, cross)))
         innovation = z - projected_mean
-        mean = state.mean + gain @ innovation
-        covariance = state.covariance - gain @ projected_cov @ gain.T
+        mean = state.mean + (gain @ innovation[..., None])[..., 0]
+        covariance = state.covariance - gain @ projected_cov @ _swap(gain)
         return KalmanState(mean=mean, covariance=_symmetrize(covariance))
 
     def gating_distance(self, state: KalmanState, measurements: np.ndarray) -> np.ndarray:
         """Squared Mahalanobis distance from the projected state to each measurement.
 
-        ``measurements`` is an (N, 4) array; returns an (N,) array of
-        non-negative distances.
+        ``measurements`` is an (N, 4) array; returns (N,) non-negative distances
+        for one track and (T, N) for a stack of T.
         """
         z = np.atleast_2d(np.asarray(measurements, dtype=np.float64))
         projected_mean, projected_cov = self.project(state)
-        d = z - projected_mean
-        try:
-            chol = np.linalg.cholesky(projected_cov)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"projected covariance is singular: {exc}") from exc
-        solved = scipy.linalg.solve_triangular(chol, d.T, lower=True, check_finite=False)
-        return np.sum(solved * solved, axis=0)
+        chol = _cholesky(projected_cov, "projected covariance")
+        d = z - projected_mean[..., None, :]
+        solved = _forward_substitute(chol, _swap(d))
+        return np.sum(solved * solved, axis=-2)
+
+
+def _swap(matrix: np.ndarray) -> np.ndarray:
+    return np.swapaxes(matrix, -1, -2)
 
 
 def _symmetrize(matrix: np.ndarray) -> np.ndarray:
-    return (matrix + matrix.T) / 2.0
+    return (matrix + _swap(matrix)) / 2.0
+
+
+def _cholesky(matrix: np.ndarray, what: str) -> np.ndarray:
+    """Lower Cholesky factor of every matrix in the stack, in one LAPACK call."""
+    try:
+        chol = np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"{what} is singular: {exc}") from exc
+    # LAPACK lets a NaN through without an error; it then fills the factor.
+    if not np.all(np.isfinite(chol)):
+        raise NumericError(f"{what} is not finite")
+    return chol
+
+
+def _forward_substitute(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve L Y = B for lower-triangular L (..., n, n) and B (..., n, k)."""
+    out = np.empty(np.broadcast_shapes(lower.shape[:-2], rhs.shape[:-2]) + rhs.shape[-2:])
+    for i in range(lower.shape[-1]):
+        acc = rhs[..., i, :]
+        for j in range(i):
+            acc = acc - lower[..., i, j, None] * out[..., j, :]
+        out[..., i, :] = acc / lower[..., i, i, None]
+    return out
+
+
+def _back_substitute(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve L^T X = B for lower-triangular L (..., n, n) and B (..., n, k)."""
+    n = lower.shape[-1]
+    out = np.empty(np.broadcast_shapes(lower.shape[:-2], rhs.shape[:-2]) + rhs.shape[-2:])
+    for i in reversed(range(n)):
+        acc = rhs[..., i, :]
+        for j in range(i + 1, n):
+            acc = acc - lower[..., j, i, None] * out[..., j, :]
+        out[..., i, :] = acc / lower[..., i, i, None]
+    return out

@@ -269,7 +269,8 @@ class _Runner:
         self.config = config
         self.latency = config.latency_for(mode.precision)
         self.quantize = mode.precision is Precision.MIXED
-        self.capture_times: list[float] = []
+        self.started = time.perf_counter()
+        self.output_times: list[float] = []  # when each frame's post-processing ended
         self.outputs: list[TrackerOutput] = []
         self.busy = {"capture": 0.0, "infer": 0.0, "post": 0.0}
 
@@ -277,7 +278,6 @@ class _Runner:
 
     def _capture_one(self, frame_index: int, raw: np.ndarray) -> tuple[FramePacket, np.ndarray]:
         now = time.perf_counter()
-        self.capture_times.append(now)
         width, height = self.config.frame_size
         packet = FramePacket(index=frame_index, timestamp=now, width=width, height=height)
         self.busy["capture"] += time.perf_counter() - now
@@ -298,12 +298,14 @@ class _Runner:
         residual = budget - (time.perf_counter() - start)
         if residual > 0:
             _delay(residual, self.config.busy_wait)
-        self.busy["post"] += time.perf_counter() - start
+        end = time.perf_counter()
+        self.busy["post"] += end - start
         self.outputs.append(output)
+        self.output_times.append(end)
 
-    def _report(self, end_time: float, max_q1: int, max_q2: int) -> RunReport:
+    def _report(self, max_q1: int, max_q2: int) -> RunReport:
         warmup = self.config.warmup_frames
-        total = len(self.capture_times)
+        total = len(self.output_times)
         if total == 0:
             return RunReport(
                 execution=self.mode.execution.value,
@@ -317,9 +319,13 @@ class _Runner:
                 frames_total=0,
                 stage_busy_s=dict(self.busy),
             )
+        # Measured at the output, so the window skips the pipeline filling up:
+        # frame k's window opens when frame k - 1's output is out (the run's
+        # start for frame 0) and the last one closes it.
+        opened = [self.started] + self.output_times[:-1]
         start_index = min(warmup, total - 1)
-        seconds = end_time - self.capture_times[start_index]
-        fps = measure_fps(self.capture_times, end_time, warmup)
+        seconds = self.output_times[-1] - opened[start_index]
+        fps = measure_fps(opened, self.output_times[-1], warmup)
         return RunReport(
             execution=self.mode.execution.value,
             precision=self.mode.precision.value,
@@ -344,7 +350,7 @@ class _Runner:
                 batch = []
         if batch:
             self._flush_serialized(batch)
-        return self.outputs, self._report(time.perf_counter(), 0, 0)
+        return self.outputs, self._report(0, 0)
 
     def _flush_serialized(self, batch: list[tuple[FramePacket, np.ndarray]]) -> None:
         self._infer_batch(len(batch))
@@ -419,7 +425,7 @@ class _Runner:
                     batch = []
             if batch:
                 self._flush_serialized(batch)
-            return self.outputs, self._report(time.perf_counter(), 0, 0)
+            return self.outputs, self._report(0, 0)
 
         threads = [threading.Thread(target=guarded(stage), daemon=True) for stage in stages]
         for thread in threads:
@@ -428,9 +434,7 @@ class _Runner:
             thread.join()
         if failures:
             raise failures[0]
-        return self.outputs, self._report(
-            time.perf_counter(), q1.max_occupancy, q2.max_occupancy
-        )
+        return self.outputs, self._report(q1.max_occupancy, q2.max_occupancy)
 
 
 def _quantize_detection(det: Detection) -> Detection:

@@ -10,7 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BoundingBox, Detection, EMBEDDING_DIM, iou, normalize
+from .core import BoundingBox, Detection, EMBEDDING_DIM, iou_matrix, normalize
+
+# Not called here. It stays in this namespace so that call counters wrapped
+# around trackforge.postproc.iou keep resolving; they now read 0.
+from .core import iou  # noqa: F401
 from .errors import ConfigError, LayoutError
 
 ROW_PREFIX = 6  # 4 box values + objectness + class score
@@ -71,19 +75,23 @@ def nms(detections: list[Detection], iou_threshold: float) -> list[Detection]:
     Repeatedly keeps the highest-scoring remaining detection and discards all
     others overlapping it with IoU strictly above the threshold. Score ties
     break toward the lower original index, so output is deterministic. The
-    result is the surviving subset in original input order.
+    result is the surviving subset in original input order. All pairwise
+    overlaps come from one :func:`iou_matrix` call, which matches ``iou``
+    bit for bit.
     """
     if not 0.0 < iou_threshold < 1.0:
         raise ConfigError(f"NMS IoU threshold must be in (0, 1), got {iou_threshold}")
-    n = len(detections)
-    order = sorted(range(n), key=lambda i: (-detections[i].objectness, i))
-    suppressed = [False] * n
+    boxes = np.array([d.box.as_tlwh() for d in detections], dtype=np.float64)
+    overlaps = iou_matrix(boxes, boxes) > iou_threshold
+    scores = np.array([d.objectness for d in detections], dtype=np.float64)
+    suppressed = np.zeros(len(detections), dtype=bool)
     keep: list[int] = []
-    for pos, i in enumerate(order):
+    # A stable sort on negated scores puts ties in ascending index order.
+    for i in np.argsort(-scores, kind="stable").tolist():
         if suppressed[i]:
             continue
         keep.append(i)
-        for j in order[pos + 1 :]:
-            if not suppressed[j] and iou(detections[i].box, detections[j].box) > iou_threshold:
-                suppressed[j] = True
+        # Row i also flags i itself and boxes earlier in the order, which are
+        # already settled.
+        suppressed |= overlaps[i]
     return [detections[i] for i in sorted(keep)]

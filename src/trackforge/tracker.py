@@ -5,6 +5,14 @@ NMS, Kalman predict for every live track, appearance cost matrix, motion
 gate, assignment, threshold rejection, then the lifecycle bookkeeping
 (update matched, mark unmatched lost, remove stale, spawn new). A tracker
 instance is strictly sequential: frame indices must increase between calls.
+
+The tracker holds every live track's numeric state in stacked arrays: the
+Kalman means ``(T, 8)`` and covariances ``(T, 8, 8)`` in ``Tracker.kalman``,
+the smoothed appearance embeddings ``(T, D)`` in ``Tracker.embeddings``. Row
+``i`` belongs to ``tracks[i]``, which keeps only the lifecycle fields; rows are
+dropped together with their tracks, and births are appended in both places.
+So predict, gating, update and embedding smoothing each run once per frame
+over all tracks (or all matched ones), never once per track.
 """
 
 from __future__ import annotations
@@ -29,12 +37,10 @@ class TrackState(Enum):
 
 @dataclass
 class Track:
-    """One tracked identity with motion state and smoothed appearance."""
+    """Lifecycle of one tracked identity; its motion and appearance rows live on the Tracker."""
 
     track_id: int
     state: TrackState
-    kalman: KalmanState
-    smooth_embedding: np.ndarray
     last_update_frame: int
     lost_since: int | None = None
     hits: int = 1
@@ -65,7 +71,10 @@ class TrackerOutput:
 
 
 def smooth_embedding(old: np.ndarray, new: np.ndarray, alpha: float) -> np.ndarray:
-    """Exponential appearance update: normalize(alpha * old + (1 - alpha) * new)."""
+    """Exponential appearance update: normalize(alpha * old + (1 - alpha) * new).
+
+    Works on one embedding or row by row on two (M, D) stacks.
+    """
     if old.shape != new.shape:
         raise DimensionError(f"embedding shapes differ: {old.shape} vs {new.shape}")
     return normalize(alpha * old.astype(np.float64) + (1.0 - alpha) * new.astype(np.float64))
@@ -77,6 +86,9 @@ class Tracker:
     def __init__(self, config: TrackerConfig | None = None) -> None:
         self.config = config or TrackerConfig()
         self.tracks: list[Track] = []  # ACTIVE and LOST; REMOVED tracks are dropped
+        # Row i of both stacks belongs to tracks[i].
+        self.kalman = KalmanState(mean=np.zeros((0, 8)), covariance=np.zeros((0, 8, 8)))
+        self.embeddings = np.zeros((0, self.config.embedding_dim))
         self.removed_ids: set[int] = set()
         self._filter = KalmanFilter(self.config.motion_noise)
         self._next_id = 1
@@ -94,35 +106,49 @@ class Tracker:
         for det in dets:
             if det.embedding is None:
                 raise DimensionError("tracking requires detections with embeddings")
+            if det.embedding.shape != (cfg.embedding_dim,):
+                raise DimensionError(
+                    f"detection embedding shape {det.embedding.shape} does not match "
+                    f"embedding_dim {cfg.embedding_dim}"
+                )
 
-        for track in self.tracks:
-            track.kalman = self._filter.predict(track.kalman)
+        self.kalman = self._filter.predict(self.kalman)
 
         measurements = (
             np.stack([box_to_measurement(d.box) for d in dets])
             if dets
             else np.zeros((0, 4), dtype=np.float64)
         )
-        cost = build_cost_matrix(
-            [t.smooth_embedding for t in self.tracks], [d.embedding for d in dets]
-        )
+        det_embeddings = [d.embedding for d in dets]
+        cost = build_cost_matrix(self.embeddings, det_embeddings)
         if self.tracks and dets:
             cost = apply_gate(cost, self._gate_matrix(measurements), cfg.gate_threshold)
         assignment = match_with_threshold(hungarian_solve(cost), cost, cfg.max_cost)
 
         emitted: list[tuple[int, BoundingBox, float]] = []
-        for track_idx, det_idx, _ in assignment.matches:
-            track, det = self.tracks[track_idx], dets[det_idx]
-            track.kalman = self._filter.update(track.kalman, measurements[det_idx])
-            track.smooth_embedding = smooth_embedding(
-                track.smooth_embedding, det.embedding, cfg.smoothing_alpha
+        if assignment.matches:
+            rows = [track_idx for track_idx, _, _ in assignment.matches]
+            cols = [det_idx for _, det_idx, _ in assignment.matches]
+            updated = self._filter.update(
+                KalmanState(self.kalman.mean[rows], self.kalman.covariance[rows]),
+                measurements[cols],
             )
-            track.state = TrackState.ACTIVE
-            track.lost_since = None
-            track.last_update_frame = frame_index
-            track.hits += 1
-            if track.hits >= cfg.min_hits:
-                emitted.append((track.track_id, self._track_box(track), det.objectness))
+            self.kalman.mean[rows] = updated.mean
+            self.kalman.covariance[rows] = updated.covariance
+            self.embeddings[rows] = smooth_embedding(
+                self.embeddings[rows],
+                np.stack([det_embeddings[c] for c in cols]),
+                cfg.smoothing_alpha,
+            )
+            for row, col in zip(rows, cols):
+                track = self.tracks[row]
+                track.state = TrackState.ACTIVE
+                track.lost_since = None
+                track.last_update_frame = frame_index
+                track.hits += 1
+                if track.hits >= cfg.min_hits:
+                    box = measurement_to_box(self.kalman.mean[row, :4])
+                    emitted.append((track.track_id, box, dets[col].objectness))
 
         for track_idx in assignment.unmatched_tracks:
             track = self.tracks[track_idx]
@@ -130,45 +156,43 @@ class Tracker:
                 track.state = TrackState.LOST
                 track.lost_since = frame_index
 
-        survivors: list[Track] = []
-        for track in self.tracks:
-            if (
-                track.state is TrackState.LOST
-                and frame_index - track.lost_since >= cfg.max_lost
-            ):
-                track.state = TrackState.REMOVED
-                self.removed_ids.add(track.track_id)
-            else:
-                survivors.append(track)
-        self.tracks = survivors
+        keep = [
+            not (track.state is TrackState.LOST and frame_index - track.lost_since >= cfg.max_lost)
+            for track in self.tracks
+        ]
+        if not all(keep):
+            for track, kept in zip(self.tracks, keep):
+                if not kept:
+                    track.state = TrackState.REMOVED
+                    self.removed_ids.add(track.track_id)
+            self.tracks = [track for track, kept in zip(self.tracks, keep) if kept]
+            self.kalman = KalmanState(self.kalman.mean[keep], self.kalman.covariance[keep])
+            self.embeddings = self.embeddings[keep]
 
-        for det_idx in assignment.unmatched_detections:
-            det = dets[det_idx]
+        born = assignment.unmatched_detections
+        if born:
+            births = [self._filter.initiate(measurements[i]) for i in born]
+            self.kalman = KalmanState(
+                np.concatenate([self.kalman.mean, [b.mean for b in births]]),
+                np.concatenate([self.kalman.covariance, [b.covariance for b in births]]),
+            )
+            self.embeddings = np.concatenate([self.embeddings, [det_embeddings[i] for i in born]])
+        for det_idx in born:
             track = Track(
-                track_id=self._next_id,
-                state=TrackState.ACTIVE,
-                kalman=self._filter.initiate(measurements[det_idx]),
-                smooth_embedding=det.embedding.copy(),
-                last_update_frame=frame_index,
+                track_id=self._next_id, state=TrackState.ACTIVE, last_update_frame=frame_index
             )
             self._next_id += 1
             self.tracks.append(track)
             if track.hits >= cfg.min_hits:
-                emitted.append((track.track_id, self._track_box(track), det.objectness))
+                box = measurement_to_box(measurements[det_idx])  # a new track's mean
+                emitted.append((track.track_id, box, dets[det_idx].objectness))
 
         return TrackerOutput(frame_index=frame_index, records=tuple(sorted(emitted)))
 
     def _gate_matrix(self, measurements: np.ndarray) -> np.ndarray:
         if self.config.gate_metric == "mahalanobis":
-            return np.stack(
-                [self._filter.gating_distance(t.kalman, measurements) for t in self.tracks]
-            )
+            return self._filter.gating_distance(self.kalman, measurements)
         if self.config.gate_metric == "euclidean":
-            centers = np.stack([t.kalman.mean[:2] for t in self.tracks])
-            delta = centers[:, None, :] - measurements[None, :, :2]
+            delta = self.kalman.mean[:, None, :2] - measurements[None, :, :2]
             return np.sum(delta * delta, axis=2)
         raise ConfigError(f"unknown gate metric {self.config.gate_metric!r}")
-
-    @staticmethod
-    def _track_box(track: Track) -> BoundingBox:
-        return measurement_to_box(track.kalman.mean[:4])

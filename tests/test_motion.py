@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from trackforge.errors import InvalidMeasurementError
+from trackforge.errors import InvalidMeasurementError, NumericError
 from trackforge.motion import CHI2_GATE_95_4DOF, KalmanFilter, KalmanState
 
 from oracles import KalmanOracle
@@ -159,3 +159,90 @@ class TestConvergence:
             state = kf.update(state, truth)
             errors.append(np.linalg.norm(state.mean[:2] - truth[:2]))
         assert errors[19] < errors[2]
+
+
+def random_states(kf, rng, count):
+    """``count`` single-track states, each a few random predict/update cycles old."""
+    states = []
+    for _ in range(count):
+        state = kf.initiate(random_measurement(rng))
+        for _ in range(rng.integers(1, 5)):
+            state = kf.predict(state)
+            z = state.mean[:4] + rng.normal(0, 2, 4)
+            z[3] = max(z[3], 1.0)
+            state = kf.update(state, z)
+        states.append(state)
+    return states
+
+
+def stack(states):
+    return KalmanState(
+        mean=np.array([s.mean for s in states]).reshape(-1, 8),
+        covariance=np.array([s.covariance for s in states]).reshape(-1, 8, 8),
+    )
+
+
+class TestBatched:
+    @pytest.mark.parametrize("count", [0, 1, 7])
+    def test_predict_matches_slices_and_oracle(self, kf, count):
+        oracle = KalmanOracle()
+        states = random_states(kf, np.random.default_rng(count), count)
+        batched = kf.predict(stack(states))
+        assert batched.mean.shape == (count, 8)
+        assert batched.covariance.shape == (count, 8, 8)
+        for i, state in enumerate(states):
+            single = kf.predict(state)
+            mean, cov = oracle.predict(state.mean, state.covariance)
+            np.testing.assert_allclose(batched.mean[i], single.mean, atol=1e-9)
+            np.testing.assert_allclose(batched.covariance[i], single.covariance, atol=1e-9)
+            np.testing.assert_allclose(batched.mean[i], mean, atol=1e-9)
+            np.testing.assert_allclose(batched.covariance[i], cov, atol=1e-9)
+
+    @pytest.mark.parametrize("count", [0, 1, 7])
+    def test_update_matches_slices_and_oracle(self, kf, count):
+        oracle = KalmanOracle()
+        rng = np.random.default_rng(10 + count)
+        states = [kf.predict(s) for s in random_states(kf, rng, count)]
+        zs = np.array([s.mean[:4] + rng.normal(0, 2, 4) for s in states]).reshape(-1, 4)
+        batched = kf.update(stack(states), zs)
+        assert batched.mean.shape == (count, 8)
+        for i, (state, z) in enumerate(zip(states, zs)):
+            single = kf.update(state, z)
+            mean, cov = oracle.update(state.mean, state.covariance, z)
+            np.testing.assert_allclose(batched.mean[i], single.mean, atol=1e-9)
+            np.testing.assert_allclose(batched.covariance[i], single.covariance, atol=1e-9)
+            np.testing.assert_allclose(batched.mean[i], mean, atol=1e-9)
+            np.testing.assert_allclose(batched.covariance[i], cov, atol=1e-9)
+
+    @pytest.mark.parametrize("count", [0, 1, 7])
+    def test_gating_matches_slices_and_oracle(self, kf, count):
+        oracle = KalmanOracle()
+        rng = np.random.default_rng(20 + count)
+        states = [kf.predict(s) for s in random_states(kf, rng, count)]
+        zs = np.stack([random_measurement(rng) for _ in range(5)])
+        batched = kf.gating_distance(stack(states), zs)
+        assert batched.shape == (count, 5)
+        for i, state in enumerate(states):
+            np.testing.assert_allclose(batched[i], kf.gating_distance(state, zs), atol=1e-9)
+            np.testing.assert_allclose(
+                batched[i], oracle.gating(state.mean, state.covariance, zs), atol=1e-9
+            )
+
+    @pytest.mark.parametrize("bad", ["nan", "singular"])
+    def test_one_bad_row_raises_numeric_error(self, kf, bad):
+        rng = np.random.default_rng(30)
+        states = stack([kf.predict(s) for s in random_states(kf, rng, 4)])
+        mean, cov = states.mean.copy(), states.covariance.copy()
+        if bad == "nan":
+            cov[2, 1, 1] = np.nan
+        else:
+            # Zero height removes the measurement noise; a zero covariance leaves
+            # the innovation covariance all zeros.
+            mean[2, 3] = 0.0
+            cov[2] = 0.0
+        broken = KalmanState(mean=mean, covariance=cov)
+        zs = np.stack([random_measurement(rng) for _ in range(3)])
+        with pytest.raises(NumericError):
+            kf.gating_distance(broken, zs)
+        with pytest.raises(NumericError):
+            kf.update(broken, zs[[0, 1, 2, 0]])

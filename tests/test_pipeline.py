@@ -290,6 +290,36 @@ class TestThroughputSanity:
         assert report.fps == pytest.approx(predicted_fps(config, mode, 5), rel=0.10)
 
 
+    def test_unpaced_fps_matches_output_clock(self):
+        # An unpaced source fills both queues at once, so the warm-up frame is
+        # captured long before it is output; the rate must not count that wait.
+        class StepClock(Tracker):
+            def __init__(self, config):
+                super().__init__(config)
+                self.done = []
+
+            def step(self, frame_index, detections):
+                output = super().step(frame_index, detections)
+                self.done.append(time.perf_counter())
+                return output
+
+        scenario = fast_scenario(objects=5, frames=150)
+        config = PipelineConfig(
+            t_fixed_ms=1.0, t_image_ms=2.0, t_post_fixed_ms=4.0,
+            t_post_per_detection_ms=0.0, warmup_frames=30,
+        )
+        assert scenario.frames > 4 * config.q1_capacity
+        tracker = StepClock(TrackerConfig(embedding_dim=DIM))
+        _, report = run(
+            scenario_frames(scenario, 3), tracker,
+            PipelineMode(ExecutionMode.PARALLEL, Precision.FULL, 4), config,
+        )
+        warmup, done = config.warmup_frames, tracker.done
+        clock_fps = (len(done) - 1 - warmup) / (done[-1] - done[warmup])
+        assert report.fps == pytest.approx(clock_fps, rel=0.03)
+        assert report.fps == pytest.approx(report.frames / report.seconds, rel=1e-9)
+
+
 class TestRunReport:
     def test_csv_round_trip(self):
         scenario = fast_scenario(objects=3, frames=20)

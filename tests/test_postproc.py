@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trackforge.core import BoundingBox, Detection, normalize
+from trackforge.core import BoundingBox, Detection, iou, iou_matrix, normalize
 from trackforge.errors import ConfigError, InvalidBoxError, LayoutError
 from trackforge.postproc import filter_confidence, nms, parse_output, serialize_detections
 
@@ -131,8 +131,6 @@ class TestNms:
     def test_survivor_pairs_below_threshold(self):
         rng = np.random.default_rng(6)
         survivors = nms(random_detections(rng, 40), 0.3)
-        from trackforge.core import iou
-
         for i, a in enumerate(survivors):
             for b in survivors[i + 1 :]:
                 assert iou(a.box, b.box) <= 0.3
@@ -162,3 +160,57 @@ class TestNms:
             nms([], 0.0)
         with pytest.raises(ConfigError):
             nms([], 1.0)
+
+
+def _oracle_kept(dets, threshold):
+    expected = nms_reference_indices(
+        [d.box.as_tlwh() for d in dets], [d.objectness for d in dets], threshold
+    )
+    return [dets[i] for i in expected]
+
+
+class TestNmsEdgeCasesAgainstOracle:
+    def test_empty_and_single(self):
+        assert nms([], 0.4) == _oracle_kept([], 0.4) == []
+        one = [_det(0.3)]
+        assert nms(one, 0.4) == _oracle_kept(one, 0.4) == one
+
+    def test_equal_scores(self):
+        rng = np.random.default_rng(11)
+        dets = [
+            Detection(box=d.box, objectness=0.7, embedding=None)
+            for d in random_detections(rng, 30, canvas=40.0)
+        ]
+        assert nms(dets, 0.3) == _oracle_kept(dets, 0.3)
+
+    def test_identical_boxes(self):
+        box = BoundingBox(3.0, 4.0, 10.0, 12.0)
+        dets = [_det(score, box) for score in (0.5, 0.9, 0.9, 0.2)]
+        assert nms(dets, 0.4) == _oracle_kept(dets, 0.4) == [dets[1]]
+
+    def test_iou_exactly_at_threshold_is_kept(self):
+        # Overlap 5 x 10 = 50 over union 100 + 100 - 50 = 150: IoU is 1/3 exactly
+        # as computed, and only overlaps strictly above the threshold suppress.
+        a = _det(0.9, BoundingBox(0.0, 0.0, 10.0, 10.0))
+        b = _det(0.8, BoundingBox(5.0, 0.0, 10.0, 10.0))
+        threshold = 50.0 / 150.0
+        assert iou(a.box, b.box) == threshold
+        assert nms([a, b], threshold) == _oracle_kept([a, b], threshold) == [a, b]
+
+    def test_touching_boxes_have_zero_overlap(self):
+        left = _det(0.9, BoundingBox(0.0, 0.0, 10.0, 10.0))
+        right = _det(0.8, BoundingBox(10.0, 0.0, 10.0, 10.0))
+        below = _det(0.7, BoundingBox(0.0, 10.0, 10.0, 10.0))
+        dets = [left, right, below]
+        boxes = np.array([d.box.as_tlwh() for d in dets])
+        matrix = iou_matrix(boxes, boxes)
+        assert matrix[0, 1] == matrix[0, 2] == iou(left.box, right.box) == 0.0
+        assert nms(dets, 0.01) == _oracle_kept(dets, 0.01) == dets
+
+    def test_iou_matrix_equals_pairwise_iou_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        dets = random_detections(rng, 40, canvas=50.0)
+        boxes = np.array([d.box.as_tlwh() for d in dets])
+        matrix = iou_matrix(boxes, boxes)
+        expected = np.array([[iou(a.box, b.box) for b in dets] for a in dets])
+        np.testing.assert_array_equal(matrix, expected)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from trackforge.core import BoundingBox, Detection, cosine_distance, normalize
+from trackforge.core import BoundingBox, Detection, box_to_measurement, cosine_distance, normalize
 from trackforge.detgen import NoiseParams, make_scenario, generate_frame, scenario_ground_truth
 from trackforge.errors import DegenerateEmbeddingError, DimensionError, OrderingError
 from trackforge.moteval import evaluate, outputs_to_frames
+from trackforge.motion import KalmanFilter
 from trackforge.postproc import parse_output
 from trackforge.tracker import Tracker, TrackerConfig, TrackState, smooth_embedding
 
@@ -224,3 +225,45 @@ class TestSequenceProperties:
         report = evaluate(scenario_ground_truth(scenario), outputs_to_frames(outputs))
         assert report.id_switches == 0
         assert report.idf1 == 1.0
+
+
+class TestRowBookkeeping:
+    def test_removing_middle_track_keeps_survivor_rows(self):
+        cfg = config(max_lost=2)
+        tracker = Tracker(cfg)
+        kf = KalmanFilter(cfg.motion_noise)
+        starts = {1: 0.0, 2: 200.0, 3: 400.0}
+        embeddings = {1: unit(0), 2: unit(1), 3: unit(2)}
+        replay, smoothed = {}, {}
+        for frame in range(6):
+            # Track 2 is seen only in frame 0: lost in frame 1, removed in frame 3.
+            ids = [1, 2, 3] if frame == 0 else [1, 3]
+            boxes = {
+                i: BoundingBox(starts[i] + 2.0 * frame, 50.0 + frame, 20.0, 30.0) for i in ids
+            }
+            tracker.step(frame, [det(b.x, b.y, embeddings[i]) for i, b in boxes.items()])
+            for i, box in boxes.items():
+                z = box_to_measurement(box)
+                if frame == 0:
+                    replay[i] = kf.initiate(z)
+                    smoothed[i] = embeddings[i].copy()
+                else:
+                    replay[i] = kf.update(kf.predict(replay[i]), z)
+                    smoothed[i] = smooth_embedding(smoothed[i], embeddings[i], cfg.smoothing_alpha)
+
+        assert tracker.removed_ids == {2}
+        assert [t.track_id for t in tracker.tracks] == [1, 3]
+        for track in tracker.tracks:
+            assert track.state is TrackState.ACTIVE
+            assert track.lost_since is None
+            assert track.last_update_frame == 5
+            assert track.hits == 6
+        assert tracker.kalman.mean.shape == (2, 8)
+        assert tracker.kalman.covariance.shape == (2, 8, 8)
+        assert tracker.embeddings.shape == (2, DIM)
+        for row, track_id in enumerate([1, 3]):
+            np.testing.assert_allclose(tracker.kalman.mean[row], replay[track_id].mean, atol=1e-9)
+            np.testing.assert_allclose(
+                tracker.kalman.covariance[row], replay[track_id].covariance, atol=1e-9
+            )
+            np.testing.assert_array_equal(tracker.embeddings[row], smoothed[track_id])
