@@ -98,7 +98,7 @@ def load_config_file(path: str | Path | None) -> dict:
         raise click.UsageError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise click.UsageError("config file must contain a JSON object")
-    unknown = set(payload) - {"tracker", "pipeline", "noise"}
+    unknown = set(payload) - {"tracker", "pipeline"}
     if unknown:
         raise click.UsageError(f"unknown config sections: {sorted(unknown)}")
     return payload
@@ -115,7 +115,7 @@ def build_tracker_config(overrides: dict, embedding_dim: int) -> TrackerConfig:
     return TrackerConfig(embedding_dim=embedding_dim, motion_noise=MotionNoise(), **overrides)
 
 
-def build_pipeline_config(overrides: dict, frame_size: tuple[int, int]) -> PipelineConfig:
+def build_pipeline_config(overrides: dict) -> PipelineConfig:
     known = {
         "t_fixed_ms", "t_image_ms", "kappa_full", "kappa_mixed", "t_post_fixed_ms",
         "t_post_per_detection_ms", "q1_capacity", "q2_capacity", "warmup_frames", "busy_wait",
@@ -123,7 +123,7 @@ def build_pipeline_config(overrides: dict, frame_size: tuple[int, int]) -> Pipel
     unknown = set(overrides) - known
     if unknown:
         raise click.UsageError(f"unknown pipeline config keys: {sorted(unknown)}")
-    return PipelineConfig(frame_size=frame_size, **overrides)
+    return PipelineConfig(**overrides)
 
 
 def _parse_mode(mode: str, precision: str, batch_size: int) -> PipelineMode:
@@ -153,35 +153,19 @@ def _parse_int_list(text: str, label: str) -> list[int]:
 
 
 def _make_source(scenario_path, detections_path, embeddings_path, seed, embedding_dim):
-    """Returns (frames iterable, embedding_dim, frame_size, detections/frame estimate)."""
+    """Returns (frames iterable, embedding_dim)."""
     if scenario_path and detections_path:
         raise click.UsageError("give either --scenario or --detections, not both")
     if scenario_path:
         scenario = detgen.load_scenario(scenario_path)
-        mean_dets = (
-            sum(len(v) for v in detgen.scenario_ground_truth(scenario).values())
-            / max(scenario.frames, 1)
-        )
-        return (
-            detgen.scenario_frames(scenario, seed),
-            scenario.embedding_dim,
-            scenario.image_size,
-            mean_dets,
-        )
+        return detgen.scenario_frames(scenario, seed), scenario.embedding_dim
     if detections_path:
         if not embeddings_path:
             raise click.UsageError("--detections requires --embeddings (sidecar file)")
         det_map = detgen.load_mot_detections(detections_path)
         attached = detgen.load_embedding_sidecar(embeddings_path, det_map, embedding_dim)
         n_frames = max(attached) + 1 if attached else 0
-        total = sum(rows.shape[0] for rows in attached.values())
-        mean_dets = total / max(n_frames, 1)
-        return (
-            detgen.file_frames(attached, n_frames, 6 + embedding_dim),
-            embedding_dim,
-            (1920, 1080),
-            mean_dets,
-        )
+        return detgen.file_frames(attached, n_frames, 6 + embedding_dim), embedding_dim
     raise click.UsageError("a detection source is required: --scenario or --detections")
 
 
@@ -213,12 +197,12 @@ def track(
 ) -> None:
     """Run the tracker over a detection source and write MOT result rows."""
     pipeline_mode = _parse_mode(mode, precision, batch_size)
-    source, dim, frame_size, _ = _make_source(
+    source, dim = _make_source(
         scenario_path, detections_path, embeddings_path, seed, embedding_dim
     )
     config_file = load_config_file(config_path)
     tracker = Tracker(build_tracker_config(config_file.get("tracker", {}), dim))
-    pipeline_config = build_pipeline_config(config_file.get("pipeline", {}), frame_size)
+    pipeline_config = build_pipeline_config(config_file.get("pipeline", {}))
     outputs, report = run(source, tracker, pipeline_mode, pipeline_config)
     write_mot_results(out_path, outputs)
     if report_path:
@@ -252,9 +236,7 @@ def bench(
     """Benchmark pipeline variants; verifies output determinism across modes."""
     scenario = detgen.load_scenario(scenario_path)
     config_file = load_config_file(config_path)
-    pipeline_config = build_pipeline_config(
-        config_file.get("pipeline", {}), scenario.image_size
-    )
+    pipeline_config = build_pipeline_config(config_file.get("pipeline", {}))
 
     if four_variants:
         variants = [

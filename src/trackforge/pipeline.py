@@ -1,12 +1,15 @@
 """Three-stage tracking runtime: capture, batched inference, post-processing.
 
-The parallel mode runs the three stages in separate threads connected by two
-bounded FIFO queues, so inference on batch k+1 overlaps post-processing of
-batch k. Post-processing itself stays strictly sequential in frame order
-(tracker state is order-dependent), which is why every mode produces the
-same output stream for the same source and tracker configuration. Serialized
-modes run the identical per-frame work inline and exist as baselines for
-throughput comparison.
+Every mode runs one chain: frames pulled from the source are grouped into
+batches, each batch stalls for its inference price, and post-processing runs
+frame by frame on the calling thread. The parallel mode cuts that chain with
+bounded FIFO queues and runs the part before each cut in its own thread, so
+inference on batch k+1 overlaps post-processing of batch k; the
+TRACKFORGE_THREADS cap decides how many cuts there are. Post-processing stays
+strictly sequential in frame order (tracker state is order-dependent), which
+is why every mode and cap produces the same output stream for the same source
+and tracker configuration. Serialized modes run the chain uncut and exist as
+baselines for throughput comparison.
 
 Inference cost is emulated by stalling for the LatencyModel's batch price;
 post-processing stalls for whatever remains of its per-frame budget after
@@ -86,7 +89,6 @@ class PipelineConfig:
     q2_capacity: int = 64
     warmup_frames: int = 10
     busy_wait: bool = False
-    frame_size: tuple[int, int] = (1920, 1080)
 
     def __post_init__(self) -> None:
         if self.q1_capacity < 1 or self.q2_capacity < 1:
@@ -102,16 +104,6 @@ class PipelineConfig:
 
     def post_ms(self, n_detections: int) -> float:
         return self.t_post_fixed_ms + self.t_post_per_detection_ms * n_detections
-
-
-@dataclass(frozen=True)
-class FramePacket:
-    """Metadata travelling with one frame: index, capture time, image dimensions."""
-
-    index: int
-    timestamp: float
-    width: int
-    height: int
 
 
 @dataclass
@@ -195,25 +187,22 @@ class StageQueue:
             yield item
 
 
-def batcher(q_in: StageQueue, batch_size: int, flush_on_sentinel: bool = True) -> Iterator[list]:
-    """Group queue messages into lists of ``batch_size``, preserving order.
+def batcher(items: Iterable, batch_size: int) -> Iterator[list]:
+    """Group items into lists of ``batch_size``, preserving order.
 
-    Blocks until each batch fills; on end-of-stream the final partial batch is
-    emitted (or dropped when ``flush_on_sentinel`` is false).
+    Pulls until each batch fills; at the end of the items the final partial
+    batch is emitted. A StageQueue is iterable, so a queue can feed it too.
     """
     if batch_size < 1:
         raise ConfigError(f"batch size must be >= 1, got {batch_size}")
     batch: list = []
-    while True:
-        item = q_in.get()
-        if item is _SENTINEL:
-            if batch and flush_on_sentinel:
-                yield batch
-            return
+    for item in items:
         batch.append(item)
         if len(batch) == batch_size:
             yield batch
             batch = []
+    if batch:
+        yield batch
 
 
 def measure_fps(capture_times: list[float], end_time: float, warmup: int = 10) -> float:
@@ -249,10 +238,8 @@ def run(
     and tracker configuration) and a timing report.
     """
     config = config or PipelineConfig()
-    runner = _Runner(source, tracker, mode, config)
-    if mode.execution is ExecutionMode.PARALLEL:
-        return runner.run_parallel()
-    return runner.run_serialized()
+    cap = _thread_cap() if mode.execution is ExecutionMode.PARALLEL else 1
+    return _Runner(source, tracker, mode, config).run(cap)
 
 
 class _Runner:
@@ -274,26 +261,28 @@ class _Runner:
         self.outputs: list[TrackerOutput] = []
         self.busy = {"capture": 0.0, "infer": 0.0, "post": 0.0}
 
-    # -- shared stage bodies -------------------------------------------------
-
-    def _capture_one(self, frame_index: int, raw: np.ndarray) -> tuple[FramePacket, np.ndarray]:
-        now = time.perf_counter()
-        width, height = self.config.frame_size
-        packet = FramePacket(index=frame_index, timestamp=now, width=width, height=height)
-        self.busy["capture"] += time.perf_counter() - now
-        return packet, raw
-
-    def _infer_batch(self, batch_len: int) -> None:
+    def _capture(self) -> Iterator[tuple[int, np.ndarray]]:
+        """Frames from the source; capture busy time is the time spent pulling them."""
         start = time.perf_counter()
-        _delay(emulated_latency(self.latency, batch_len) / 1000.0, self.config.busy_wait)
-        self.busy["infer"] += time.perf_counter() - start
+        for frame in self.source:
+            self.busy["capture"] += time.perf_counter() - start
+            yield frame
+            start = time.perf_counter()
 
-    def _post_one(self, packet: FramePacket, raw: np.ndarray) -> None:
+    def _infer(self, batches: Iterable[list]) -> Iterator[tuple[int, np.ndarray]]:
+        """Stall for each batch's emulated inference price, then release its frames."""
+        for batch in batches:
+            start = time.perf_counter()
+            _delay(emulated_latency(self.latency, len(batch)) / 1000.0, self.config.busy_wait)
+            self.busy["infer"] += time.perf_counter() - start
+            yield from batch
+
+    def _post_one(self, frame_index: int, raw: np.ndarray) -> None:
         start = time.perf_counter()
         detections = parse_output(raw, self.tracker.config.embedding_dim)
         if self.quantize:
             detections = [_quantize_detection(d) for d in detections]
-        output = self.tracker.step(packet.index, detections)
+        output = self.tracker.step(frame_index, detections)
         budget = self.config.post_ms(raw.shape[0]) / 1000.0
         residual = budget - (time.perf_counter() - start)
         if residual > 0:
@@ -303,34 +292,73 @@ class _Runner:
         self.outputs.append(output)
         self.output_times.append(end)
 
+    def run(self, cap: int) -> tuple[list[TrackerOutput], RunReport]:
+        """Run the capture -> batch -> infer -> post chain, post on this thread.
+
+        A queue and a worker thread cut the chain before batching when
+        ``cap >= 3`` (q1) and before post-processing when ``cap >= 2`` (q2).
+        """
+        q1 = StageQueue(self.config.q1_capacity)
+        q2 = StageQueue(self.config.q2_capacity)
+        failures: list[BaseException] = []
+        workers: list[threading.Thread] = []
+
+        def fail(exc: BaseException) -> None:
+            # A PipelineAborted only echoes a failure recorded elsewhere.
+            if not isinstance(exc, PipelineAborted):
+                failures.append(exc)
+            q1.abort()
+            q2.abort()
+
+        def feed(stage: Iterator, queue: StageQueue) -> None:
+            try:
+                for item in stage:
+                    queue.put(item)
+                queue.close()
+            except BaseException as exc:
+                fail(exc)
+
+        def hand_off(stage: Iterator, queue: StageQueue) -> StageQueue:
+            worker = threading.Thread(target=feed, args=(stage, queue), daemon=True)
+            workers.append(worker)
+            worker.start()
+            return queue
+
+        frames: Iterable = self._capture()
+        if cap >= 3:
+            frames = hand_off(frames, q1)
+        frames = self._infer(batcher(frames, self.mode.batch_size))
+        if cap >= 2:
+            frames = hand_off(frames, q2)
+        try:
+            for frame_index, raw in frames:
+                self._post_one(frame_index, raw)
+        except BaseException as exc:
+            fail(exc)
+        finally:
+            for worker in workers:
+                worker.join()
+        if failures:
+            raise failures[0]
+        return self.outputs, self._report(q1.max_occupancy, q2.max_occupancy)
+
     def _report(self, max_q1: int, max_q2: int) -> RunReport:
-        warmup = self.config.warmup_frames
         total = len(self.output_times)
-        if total == 0:
-            return RunReport(
-                execution=self.mode.execution.value,
-                precision=self.mode.precision.value,
-                batch_size=self.mode.batch_size,
-                frames=0,
-                seconds=0.0,
-                fps=0.0,
-                max_q1=max_q1,
-                max_q2=max_q2,
-                frames_total=0,
-                stage_busy_s=dict(self.busy),
-            )
-        # Measured at the output, so the window skips the pipeline filling up:
-        # frame k's window opens when frame k - 1's output is out (the run's
-        # start for frame 0) and the last one closes it.
-        opened = [self.started] + self.output_times[:-1]
-        start_index = min(warmup, total - 1)
-        seconds = self.output_times[-1] - opened[start_index]
-        fps = measure_fps(opened, self.output_times[-1], warmup)
+        frames, seconds, fps = 0, 0.0, 0.0
+        if total:
+            # Measured at the output, so the window skips the pipeline filling
+            # up: frame k's window opens when frame k - 1's output is out (the
+            # run's start for frame 0) and the last one closes it.
+            opened = [self.started] + self.output_times[:-1]
+            start_index = min(self.config.warmup_frames, total - 1)
+            frames = total - start_index
+            seconds = self.output_times[-1] - opened[start_index]
+            fps = measure_fps(opened, self.output_times[-1], self.config.warmup_frames)
         return RunReport(
             execution=self.mode.execution.value,
             precision=self.mode.precision.value,
             batch_size=self.mode.batch_size,
-            frames=total - start_index,
+            frames=frames,
             seconds=seconds,
             fps=fps,
             max_q1=max_q1,
@@ -338,103 +366,6 @@ class _Runner:
             frames_total=total,
             stage_busy_s=dict(self.busy),
         )
-
-    # -- serialized execution ------------------------------------------------
-
-    def run_serialized(self) -> tuple[list[TrackerOutput], RunReport]:
-        batch: list[tuple[FramePacket, np.ndarray]] = []
-        for frame_index, raw in self.source:
-            batch.append(self._capture_one(frame_index, raw))
-            if len(batch) == self.mode.batch_size:
-                self._flush_serialized(batch)
-                batch = []
-        if batch:
-            self._flush_serialized(batch)
-        return self.outputs, self._report(0, 0)
-
-    def _flush_serialized(self, batch: list[tuple[FramePacket, np.ndarray]]) -> None:
-        self._infer_batch(len(batch))
-        for packet, raw in batch:
-            self._post_one(packet, raw)
-
-    # -- parallel execution ---------------------------------------------------
-
-    def run_parallel(self) -> tuple[list[TrackerOutput], RunReport]:
-        q1 = StageQueue(self.config.q1_capacity)
-        q2 = StageQueue(self.config.q2_capacity)
-        failures: list[BaseException] = []
-        failure_lock = threading.Lock()
-
-        def guarded(stage):
-            def body() -> None:
-                try:
-                    stage()
-                except PipelineAborted:
-                    pass
-                except BaseException as exc:  # propagate the first stage failure
-                    with failure_lock:
-                        failures.append(exc)
-                    q1.abort()
-                    q2.abort()
-
-            return body
-
-        def capture_stage() -> None:
-            for frame_index, raw in self.source:
-                q1.put(self._capture_one(frame_index, raw))
-            q1.close()
-
-        def infer_stage() -> None:
-            for batch in batcher(q1, self.mode.batch_size):
-                self._infer_batch(len(batch))
-                for message in batch:
-                    q2.put(message)
-            q2.close()
-
-        def merged_capture_infer_stage() -> None:
-            batch: list[tuple[FramePacket, np.ndarray]] = []
-            for frame_index, raw in self.source:
-                batch.append(self._capture_one(frame_index, raw))
-                if len(batch) == self.mode.batch_size:
-                    self._infer_batch(len(batch))
-                    for message in batch:
-                        q2.put(message)
-                    batch = []
-            if batch:
-                self._infer_batch(len(batch))
-                for message in batch:
-                    q2.put(message)
-            q2.close()
-
-        def post_stage() -> None:
-            for packet, raw in q2:
-                self._post_one(packet, raw)
-
-        cap = _thread_cap()
-        if cap >= 3:
-            stages = [capture_stage, infer_stage, post_stage]
-        elif cap == 2:
-            stages = [merged_capture_infer_stage, post_stage]
-        else:
-            # Single-context fallback: identical messages and order, no queues.
-            batch: list[tuple[FramePacket, np.ndarray]] = []
-            for frame_index, raw in self.source:
-                batch.append(self._capture_one(frame_index, raw))
-                if len(batch) == self.mode.batch_size:
-                    self._flush_serialized(batch)
-                    batch = []
-            if batch:
-                self._flush_serialized(batch)
-            return self.outputs, self._report(0, 0)
-
-        threads = [threading.Thread(target=guarded(stage), daemon=True) for stage in stages]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if failures:
-            raise failures[0]
-        return self.outputs, self._report(q1.max_occupancy, q2.max_occupancy)
 
 
 def _quantize_detection(det: Detection) -> Detection:

@@ -281,12 +281,13 @@ class TestConfigFile:
     def test_unknown_section_exits_two(self, runner, tmp_path):
         runner.invoke(main, synth_args(tmp_path, frames=5))
         bad = tmp_path / "bad.json"
-        bad.write_text('{"tracknig": {}}')
-        result = runner.invoke(main, [
-            "track", "--scenario", str(tmp_path / "scen.json"),
-            "--config", str(bad), "--out", str(tmp_path / "res.txt"),
-        ])
-        assert result.exit_code == 2
+        for section in ("tracknig", "noise"):
+            bad.write_text(f'{{"{section}": {{}}}}')
+            result = runner.invoke(main, [
+                "track", "--scenario", str(tmp_path / "scen.json"),
+                "--config", str(bad), "--out", str(tmp_path / "res.txt"),
+            ])
+            assert result.exit_code == 2, section
 
     def test_unknown_tracker_key_exits_two(self, runner, tmp_path):
         runner.invoke(main, synth_args(tmp_path, frames=5))

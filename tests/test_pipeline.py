@@ -119,10 +119,6 @@ class TestBatcher:
         batches = list(batcher(self._queue_of(items), 5))
         assert [x for b in batches for x in b] == items
 
-    def test_flush_disabled_drops_partial(self):
-        batches = list(batcher(self._queue_of(list(range(10))), 4, flush_on_sentinel=False))
-        assert [len(b) for b in batches] == [4, 4]
-
     def test_invalid_batch_size(self):
         with pytest.raises(ConfigError):
             list(batcher(self._queue_of([]), 0))
@@ -228,6 +224,52 @@ class TestErrorPropagation:
         tracker = Tracker(TrackerConfig(embedding_dim=DIM))
         with pytest.raises(RuntimeError, match="no frames"):
             run(broken_source(), tracker, PipelineMode(), FAST)
+
+    # Each cap puts the failing stage on a different thread: at cap 1 every
+    # stage runs on the caller, at 2 the source runs in the inference worker,
+    # at 3 in its own capture worker.
+    @pytest.mark.parametrize("cap", ["1", "2", "3"])
+    def test_source_failure_mid_run_joins_workers(self, cap, monkeypatch):
+        monkeypatch.setenv("TRACKFORGE_THREADS", cap)
+        scenario = fast_scenario(objects=2, frames=20)
+
+        def broken_source():
+            for frame_index, raw in scenario_frames(scenario, 1):
+                if frame_index == 9:
+                    raise KeyError("camera unplugged")
+                yield frame_index, raw
+
+        before = threading.active_count()
+        tracker = Tracker(TrackerConfig(embedding_dim=DIM))
+        with pytest.raises(KeyError, match="camera unplugged"):
+            run(broken_source(), tracker,
+                PipelineMode(ExecutionMode.PARALLEL, Precision.FULL, 2), FAST)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cap", ["1", "2", "3"])
+    def test_tracker_failure_with_full_queues_joins_workers(self, cap, monkeypatch):
+        monkeypatch.setenv("TRACKFORGE_THREADS", cap)
+
+        class StepFailure(Exception):
+            pass
+
+        class FailingTracker(Tracker):
+            def step(self, frame_index, detections):
+                if frame_index == 4:
+                    time.sleep(0.05)  # long enough for the producers to fill both queues
+                    raise StepFailure(frame_index)
+                return super().step(frame_index, detections)
+
+        scenario = fast_scenario(objects=2, frames=40)
+        config = PipelineConfig(
+            t_fixed_ms=0.2, t_image_ms=0.4, t_post_fixed_ms=0.1,
+            t_post_per_detection_ms=0.01, q1_capacity=2, q2_capacity=3, warmup_frames=3,
+        )
+        before = threading.active_count()
+        with pytest.raises(StepFailure):
+            run(scenario_frames(scenario, 1), FailingTracker(TrackerConfig(embedding_dim=DIM)),
+                PipelineMode(ExecutionMode.PARALLEL, Precision.FULL, 2), config)
+        assert threading.active_count() == before
 
 
 class TestMeasureFps:
