@@ -384,7 +384,7 @@ def load_mot_detections(path: str | Path) -> dict[int, np.ndarray]:
                 frame = int(float(parts[0]))
                 x, y, w, h = (float(v) for v in parts[2:6])
                 conf = float(parts[6])
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:  # int(inf) overflows
                 raise ParseError(f"line {lineno}: non-numeric field ({exc})") from exc
             if frame < 1:
                 raise ParseError(f"line {lineno}: frame index must be >= 1, got {frame}")

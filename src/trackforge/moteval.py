@@ -3,8 +3,11 @@
 Frame-by-frame correspondence follows the standard protocol: a ground-truth
 object keeps its previously assigned hypothesis while the pair still
 overlaps at the match threshold; everything else is re-matched per frame by
-minimum-cost assignment on 1 - IoU. Identity metrics come from a separate
-global bipartite matching between whole trajectories.
+minimum-cost assignment on 1 - IoU, costed from one IoU matrix over the
+frame's free boxes. Identity metrics come from a separate global bipartite
+matching between whole trajectories: each frame's IoU matrix, thresholded,
+is added into a (gt ids, hyp ids) coverage matrix of jointly covered frames,
+as in TrackEval's Identity metric (IDF1 of Ristani et al. 2016).
 
 MOTP is reported as the mean matched distance (1 - IoU), so 0.0 is perfect.
 """
@@ -18,7 +21,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .assoc import hungarian_solve
-from .core import BoundingBox, iou
+from .core import BoundingBox, iou, iou_matrix
 from .errors import DuplicateIdError, InvalidBoxError, ParseError, UndefinedMetricError
 from .tracker import TrackerOutput
 
@@ -70,12 +73,8 @@ def match_frame(
     free_gt = [(i, b) for i, b in gt if i not in taken_gt]
     free_hyp = [(i, b) for i, b in hyp if i not in taken_hyp]
     if free_gt and free_hyp:
-        cost = np.full((len(free_gt), len(free_hyp)), np.inf)
-        for r, (_, gbox) in enumerate(free_gt):
-            for c, (_, hbox) in enumerate(free_hyp):
-                overlap = iou(gbox, hbox)
-                if overlap >= iou_min:
-                    cost[r, c] = 1.0 - overlap
+        overlaps = iou_matrix(_tlwh(free_gt), _tlwh(free_hyp))
+        cost = np.where(overlaps >= iou_min, 1.0 - overlaps, np.inf)
         for r, c, value in hungarian_solve(cost).matches:
             matches.append((free_gt[r][0], free_hyp[c][0], 1.0 - value))
             taken_gt.add(free_gt[r][0])
@@ -202,21 +201,28 @@ def id_metrics(
     present and overlap at ``iou_min``; the matching maximizing total covered
     frames defines IDTP.
     """
-    gt_traj = _trajectories(gt_frames)
-    hyp_traj = _trajectories(hyp_frames)
-    total_gt = sum(len(t) for t in gt_traj.values())
-    total_hyp = sum(len(t) for t in hyp_traj.values())
+    for label, frames in (("gt", gt_frames), ("hyp", hyp_frames)):
+        for entries in frames.values():
+            _check_unique(label, entries)
+    total_gt = sum(len(entries) for entries in gt_frames.values())
+    total_hyp = sum(len(entries) for entries in hyp_frames.values())
     if total_gt == 0:
         raise UndefinedMetricError("no ground-truth boxes; identity metrics are undefined")
 
-    gt_ids = sorted(gt_traj)
-    hyp_ids = sorted(hyp_traj)
+    gt_index = _id_index(gt_frames)
+    hyp_index = _id_index(hyp_frames)
     idtp = 0.0
-    if gt_ids and hyp_ids:
-        coverage = np.zeros((len(gt_ids), len(hyp_ids)))
-        for r, gt_id in enumerate(gt_ids):
-            for c, hyp_id in enumerate(hyp_ids):
-                coverage[r, c] = _joint_coverage(gt_traj[gt_id], hyp_traj[hyp_id], iou_min)
+    if gt_index and hyp_index:
+        coverage = np.zeros((len(gt_index), len(hyp_index)))
+        for frame_index, gt in gt_frames.items():
+            hyp = hyp_frames.get(frame_index)
+            if not gt or not hyp:
+                continue
+            covered = iou_matrix(_tlwh(gt), _tlwh(hyp)) >= iou_min
+            # Ids are unique within a frame (checked above), so no cell is
+            # hit twice by this fancy-indexed add.
+            cells = np.ix_([gt_index[i] for i, _ in gt], [hyp_index[i] for i, _ in hyp])
+            coverage[cells] += covered
         rows, cols = linear_sum_assignment(coverage, maximize=True)
         idtp = float(coverage[rows, cols].sum())
 
@@ -301,7 +307,7 @@ def load_mot_tracks(path: str | Path) -> dict[int, FrameBoxes]:
                 frame = int(float(parts[0]))
                 track_id = int(float(parts[1]))
                 x, y, w, h = (float(v) for v in parts[2:6])
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:  # int(inf) overflows
                 raise ParseError(f"line {lineno}: non-numeric field ({exc})") from exc
             if frame < 1:
                 raise ParseError(f"line {lineno}: frame index must be >= 1, got {frame}")
@@ -330,20 +336,11 @@ def _check_unique(label: str, entries: FrameBoxes) -> None:
         raise DuplicateIdError(f"duplicate {label} ids within a frame: {duplicates}")
 
 
-def _trajectories(frames: dict[int, FrameBoxes]) -> dict[int, dict[int, BoundingBox]]:
-    trajectories: dict[int, dict[int, BoundingBox]] = {}
-    for frame_index, entries in frames.items():
-        _check_unique("trajectory", entries)
-        for obj_id, box in entries:
-            trajectories.setdefault(obj_id, {})[frame_index] = box
-    return trajectories
+def _tlwh(entries: FrameBoxes) -> list[tuple[float, float, float, float]]:
+    return [box.as_tlwh() for _, box in entries]
 
 
-def _joint_coverage(
-    gt_traj: dict[int, BoundingBox], hyp_traj: dict[int, BoundingBox], iou_min: float
-) -> int:
-    covered = 0
-    for frame_index in gt_traj.keys() & hyp_traj.keys():
-        if iou(gt_traj[frame_index], hyp_traj[frame_index]) >= iou_min:
-            covered += 1
-    return covered
+def _id_index(frames: dict[int, FrameBoxes]) -> dict[int, int]:
+    """Each id present in any frame -> its row (or column), in sorted id order."""
+    ids = sorted({obj_id for entries in frames.values() for obj_id, _ in entries})
+    return {obj_id: k for k, obj_id in enumerate(ids)}

@@ -13,9 +13,11 @@ baselines for throughput comparison.
 
 Inference cost is emulated by stalling for the LatencyModel's batch price;
 post-processing stalls for whatever remains of its per-frame budget after
-the real tracker work. Mixed precision selects a smaller latency factor and
-quantizes detection embeddings to binary16 before association; box
-coordinates always stay at full precision.
+the real tracker work. A stall that wakes past its deadline is made up by the
+stage's next stalls, so each stage's stalls add up to its prices. Mixed
+precision selects a smaller latency factor and quantizes detection
+embeddings to binary16 before association; box coordinates always stay at
+full precision.
 """
 
 from __future__ import annotations
@@ -260,6 +262,7 @@ class _Runner:
         self.output_times: list[float] = []  # when each frame's post-processing ended
         self.outputs: list[TrackerOutput] = []
         self.busy = {"capture": 0.0, "infer": 0.0, "post": 0.0}
+        self.credit = {"infer": 0.0, "post": 0.0}
 
     def _capture(self) -> Iterator[tuple[int, np.ndarray]]:
         """Frames from the source; capture busy time is the time spent pulling them."""
@@ -273,7 +276,7 @@ class _Runner:
         """Stall for each batch's emulated inference price, then release its frames."""
         for batch in batches:
             start = time.perf_counter()
-            _delay(emulated_latency(self.latency, len(batch)) / 1000.0, self.config.busy_wait)
+            self._stall("infer", emulated_latency(self.latency, len(batch)) / 1000.0)
             self.busy["infer"] += time.perf_counter() - start
             yield from batch
 
@@ -284,13 +287,26 @@ class _Runner:
             detections = [_quantize_detection(d) for d in detections]
         output = self.tracker.step(frame_index, detections)
         budget = self.config.post_ms(raw.shape[0]) / 1000.0
-        residual = budget - (time.perf_counter() - start)
-        if residual > 0:
-            _delay(residual, self.config.busy_wait)
+        self._stall("post", budget - (time.perf_counter() - start))
         end = time.perf_counter()
         self.busy["post"] += end - start
         self.outputs.append(output)
         self.output_times.append(end)
+
+    def _stall(self, stage: str, seconds: float) -> None:
+        """Stall for ``seconds``, less the stage's credit.
+
+        The credit is what the stage's earlier stalls overshot their deadlines
+        by, so over a run each stage stalls for the sum of its prices, which is
+        what predicted_fps assumes. A stall the credit covers is skipped and
+        the rest of the credit carries forward. A negative ``seconds`` (work
+        that overran its budget) uses no credit and earns none.
+        """
+        credit = self.credit[stage]
+        if seconds <= credit:
+            self.credit[stage] = credit - max(seconds, 0.0)
+        else:
+            self.credit[stage] = _delay(seconds - credit, self.config.busy_wait)
 
     def run(self, cap: int) -> tuple[list[TrackerOutput], RunReport]:
         """Run the capture -> batch -> infer -> post chain, post on this thread.
@@ -384,14 +400,13 @@ _SLEEP_GUARD_S = 0.002
 _SLEEP_STEP_S = 0.001
 
 
-def _delay(seconds: float, busy_wait: bool) -> None:
-    if seconds <= 0:
-        return
+def _delay(seconds: float, busy_wait: bool) -> float:
+    """Stall for ``seconds``; returns how far past the deadline it woke."""
     deadline = time.perf_counter() + seconds
     if busy_wait:
         while time.perf_counter() < deadline:
             pass
-        return
+        return time.perf_counter() - deadline
     coarse = seconds - _SLEEP_GUARD_S
     if coarse > 0:
         time.sleep(coarse)
@@ -399,6 +414,7 @@ def _delay(seconds: float, busy_wait: bool) -> None:
         time.sleep(_SLEEP_STEP_S)
     while time.perf_counter() < deadline:
         time.sleep(0)
+    return time.perf_counter() - deadline
 
 
 def _thread_cap() -> int:

@@ -117,6 +117,30 @@ def max_coverage_brute_force(coverage: np.ndarray) -> float:
     return best
 
 
+def coverage_reference(gt_frames: dict, hyp_frames: dict, iou_min: float = 0.5) -> np.ndarray:
+    """Per-pair identity coverage: frames where gt id g and hyp id h overlap at iou_min.
+
+    Rows and columns follow sorted ids; with no hyp ids there is one zero
+    column, so the matrix is never empty. Boxes only need ``as_tlwh()``.
+    """
+    gt_traj: dict = {}
+    hyp_traj: dict = {}
+    for frames, traj in ((gt_frames, gt_traj), (hyp_frames, hyp_traj)):
+        for frame, entries in frames.items():
+            for obj_id, box in entries:
+                traj.setdefault(obj_id, {})[frame] = box.as_tlwh()
+    gt_ids, hyp_ids = sorted(gt_traj), sorted(hyp_traj)
+    coverage = np.zeros((len(gt_ids), max(len(hyp_ids), 1)))
+    for r, g in enumerate(gt_ids):
+        for c, h in enumerate(hyp_ids):
+            coverage[r, c] = sum(
+                1
+                for frame in gt_traj[g].keys() & hyp_traj[h].keys()
+                if iou_reference(gt_traj[g][frame], hyp_traj[h][frame]) >= iou_min
+            )
+    return coverage
+
+
 # ---------------------------------------------------------------------------
 # Textbook Kalman filter over the same noise model, via explicit inverses
 # ---------------------------------------------------------------------------

@@ -221,6 +221,15 @@ class TestEval:
         assert "100.0%" in result.output  # perfect over the intersection
 
 
+    def test_overflowing_frame_exits_two(self, runner, tmp_path):
+        gt_path, res_path = tmp_path / "gt.txt", tmp_path / "res.txt"
+        gt_path.write_text("1,1,0,0,10,10,1,-1,-1,-1\n")
+        res_path.write_text("1,1,0,0,10,10,1,-1,-1,-1\ninf,1,0,0,10,10,1,-1,-1,-1\n")
+        result = runner.invoke(main, ["eval", "--gt", str(gt_path), "--result", str(res_path)])
+        assert result.exit_code == 2, result.output
+        assert "line 2" in result.output
+
+
 class TestBench:
     def test_grid_sweep_writes_csv(self, runner, tmp_path):
         runner.invoke(main, synth_args(tmp_path, frames=15))

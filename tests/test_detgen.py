@@ -224,6 +224,12 @@ class TestMotDetectionFile(object):
         with pytest.raises(ParseError, match="line 1"):
             load_mot_detections(path)
 
+    def test_overflowing_frame_names_line(self, tmp_path):
+        path = tmp_path / "det.txt"
+        path.write_text("1,-1,10,20,30,40,0.9\ninf,-1,10,20,30,40,0.9\n")
+        with pytest.raises(ParseError, match="line 2"):
+            load_mot_detections(path)
+
     def test_confidence_clamped(self, tmp_path):
         path = tmp_path / "det.txt"
         path.write_text("1,-1,10,20,30,40,1.7\n2,-1,10,20,30,40,-0.5\n")

@@ -1,17 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
+from trackforge import moteval
 from trackforge.core import BoundingBox
-from trackforge.errors import DuplicateIdError, UndefinedMetricError
+from trackforge.detgen import make_scenario, scenario_ground_truth
+from trackforge.errors import DuplicateIdError, ParseError, UndefinedMetricError
 from trackforge.moteval import (
     accumulate,
     clear_mot,
     evaluate,
     id_metrics,
+    load_mot_tracks,
     match_frame,
 )
 
-from oracles import max_coverage_brute_force
+from oracles import coverage_reference, max_coverage_brute_force
 
 
 def box(x=0.0, y=0.0, w=10.0, h=10.0):
@@ -58,6 +64,11 @@ class TestMatchFrame:
         assert corr.matches == ()
         assert corr.unmatched_gt == (1,)
         assert corr.unmatched_hyp == (5,)
+
+    def test_pair_at_threshold_matched(self):
+        # IoU of a 20x10 box and the 10x10 box in its left half is exactly 0.5.
+        corr = match_frame([(1, box(w=20.0))], [(5, box())], prev={}, iou_min=0.5)
+        assert corr.matches == ((1, 5, 0.5),)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(DuplicateIdError):
@@ -161,11 +172,41 @@ class TestIdMetrics:
                     if rng.random() < 0.8
                 ]
             idf1, _, _ = id_metrics(gt, hyp)
-            coverage = _coverage_matrix(gt, hyp)
+            coverage = coverage_reference(gt, hyp)
             total_gt = sum(len(v) for v in gt.values())
             total_hyp = sum(len(v) for v in hyp.values())
             expected = 2.0 * max_coverage_brute_force(coverage) / (total_gt + total_hyp)
             assert idf1 == pytest.approx(expected, abs=1e-12)
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_equals_matching_on_reference_coverage(self, data):
+        gt = data.draw(_streams(ids=range(1, 6)))
+        hyp = data.draw(_streams(ids=range(3, 9)))
+        total_gt = sum(len(v) for v in gt.values())
+        total_hyp = sum(len(v) for v in hyp.values())
+        if total_gt == 0:
+            with pytest.raises(UndefinedMetricError):
+                id_metrics(gt, hyp)
+            return
+        coverage = coverage_reference(gt, hyp)
+        rows, cols = linear_sum_assignment(coverage, maximize=True)
+        idtp = float(coverage[rows, cols].sum())
+        assert id_metrics(gt, hyp) == (
+            2.0 * idtp / (total_gt + total_hyp),
+            idtp / total_hyp if total_hyp else 0.0,
+            idtp / total_gt,
+        )
+
+    def test_duplicate_ids_rejected(self):
+        gt, hyp = frames_with_one_object(5)
+        twice = [(1, box()), (1, box(x=50))]
+        with pytest.raises(DuplicateIdError):
+            id_metrics({**gt, 2: twice}, hyp)
+        with pytest.raises(DuplicateIdError):
+            id_metrics(gt, {**hyp, 2: twice})
+        with pytest.raises(DuplicateIdError):  # a frame the gt side does not have
+            id_metrics(gt, {**hyp, 9: twice})
 
     def test_harmonic_mean_identity(self):
         gt, hyp = frames_with_one_object(10, hyp_id_by_frame=lambda f: 1 if f < 7 else 3)
@@ -174,26 +215,23 @@ class TestIdMetrics:
         assert idf1 == pytest.approx(2 * idp * idr / (idp + idr), abs=1e-12)
 
 
-def _coverage_matrix(gt, hyp):
-    from trackforge.core import iou
+# Corners and sizes on a 5-pixel grid: pairs overlap partly, exactly at IoU
+# 0.5 (a 20x10 box and a 10x10 half of it), touch edges (IoU 0) or are apart.
+_grid_boxes = st.builds(
+    BoundingBox,
+    x=st.sampled_from([0.0, 5.0, 10.0, 20.0]),
+    y=st.sampled_from([0.0, 10.0]),
+    w=st.sampled_from([10.0, 20.0]),
+    h=st.just(10.0),
+)
 
-    gt_traj, hyp_traj = {}, {}
-    for f, entries in gt.items():
-        for i, b in entries:
-            gt_traj.setdefault(i, {})[f] = b
-    for f, entries in hyp.items():
-        for i, b in entries:
-            hyp_traj.setdefault(i, {})[f] = b
-    gt_ids, hyp_ids = sorted(gt_traj), sorted(hyp_traj)
-    coverage = np.zeros((len(gt_ids), max(len(hyp_ids), 1)))
-    for r, g in enumerate(gt_ids):
-        for c, h in enumerate(hyp_ids):
-            coverage[r, c] = sum(
-                1
-                for f in gt_traj[g].keys() & hyp_traj[h].keys()
-                if iou(gt_traj[g][f], hyp_traj[h][f]) >= 0.5
-            )
-    return coverage
+
+def _streams(ids):
+    """Frame maps over frames 0-5: any frame may be absent or empty."""
+    frame = st.dictionaries(st.sampled_from(list(ids)), _grid_boxes, max_size=4).map(
+        lambda boxes: list(boxes.items())
+    )
+    return st.dictionaries(st.integers(0, 5), frame, max_size=6)
 
 
 class TestEvaluate:
@@ -212,3 +250,32 @@ class TestEvaluate:
         assert report.recall == 0.0
         assert report.mota == 0.0
         assert report.fn == 5
+
+    def test_iou_calls_bounded_by_gt_boxes(self, monkeypatch):
+        # Pairwise overlaps come from one IoU matrix per frame; only the
+        # carried-over (gt, hyp) pairs of match_frame are checked one at a time.
+        gt = scenario_ground_truth(make_scenario(40, 30, seed=3, embedding_dim=8, layout="random"))
+        hyp = {
+            f: [(obj_id + 100, BoundingBox(b.x + 1.0, b.y, b.w, b.h)) for obj_id, b in entries]
+            for f, entries in gt.items()
+        }
+        calls = []
+        real_iou = moteval.iou
+
+        def counted(a, b):
+            calls.append(1)
+            return real_iou(a, b)
+
+        monkeypatch.setattr(moteval, "iou", counted)
+        report = evaluate(gt, hyp)
+        assert report.idf1 == 1.0
+        assert len(calls) <= sum(len(entries) for entries in gt.values())
+
+
+class TestLoadMotTracks:
+    @pytest.mark.parametrize("row", ["inf,1,0,0,10,10,1", "2,1e400,0,0,10,10,1"])
+    def test_overflowing_field_names_line(self, tmp_path, row):
+        path = tmp_path / "res.txt"
+        path.write_text(f"1,1,0,0,10,10,1\n{row}\n")
+        with pytest.raises(ParseError, match="line 2"):
+            load_mot_tracks(path)

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from trackforge.detgen import NoiseParams, make_scenario, scenario_frames
+from trackforge import pipeline
 from trackforge.errors import ConfigError, MeasurementError, OrderingError
 from trackforge.pipeline import (
     ExecutionMode,
@@ -405,6 +406,50 @@ class TestThreadCap:
         monkeypatch.setenv("TRACKFORGE_THREADS", "many")
         with pytest.raises(ConfigError):
             run_mode(scenario, ExecutionMode.PARALLEL, batch=2)
+
+
+class FakeClock:
+    """Stands in for the time module: a sleep of 1.5 ms or more wakes up late
+    by the next entry of ``late``, and a sleep(0) yield costs 0.1 ms."""
+
+    def __init__(self, late):
+        self.now = 0.0
+        self.late = list(late)
+
+    def perf_counter(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.now += max(seconds, 1e-4)
+        if seconds >= 1.5e-3 and self.late:
+            self.now += self.late.pop(0)
+
+
+class TestStallCredit:
+    def runner(self, monkeypatch, late):
+        clock = FakeClock(late)
+        monkeypatch.setattr(pipeline, "time", clock)
+        return clock, pipeline._Runner([], None, PipelineMode(), PipelineConfig())
+
+    def test_overshoot_shortens_later_stalls(self, monkeypatch):
+        clock, runner = self.runner(monkeypatch, late=[0.007])
+        prices = [0.010, 0.004, 0.004, 0.010]
+        credits = []
+        for price in prices:
+            runner._stall("infer", price)
+            credits.append(runner.credit["infer"])
+        # The first stall's coarse 8 ms sleep wakes 7 ms late: 5 ms past its
+        # deadline. The next 4 ms stall is skipped and 1 ms carries forward.
+        assert credits[:2] == [pytest.approx(0.005), pytest.approx(0.001)]
+        assert clock.now == pytest.approx(sum(prices), abs=2e-4)
+        assert runner.credit["post"] == 0.0
+
+    def test_overrun_work_earns_no_credit(self, monkeypatch):
+        clock, runner = self.runner(monkeypatch, late=[])
+        runner.credit["post"] = 0.001
+        runner._stall("post", -0.003)
+        assert runner.credit["post"] == 0.001
+        assert clock.now == 0.0
 
 
 class TestBusyWait:
