@@ -32,17 +32,23 @@ class Assignment:
 
 
 def build_cost_matrix(
-    track_embeddings: list[np.ndarray], detection_embeddings: list[np.ndarray]
+    track_embeddings: np.ndarray | list[np.ndarray],
+    detection_embeddings: np.ndarray | list[np.ndarray],
 ) -> np.ndarray:
-    """Pairwise cosine distances, tracks as rows and detections as columns."""
-    n_tracks, n_dets = len(track_embeddings), len(detection_embeddings)
-    if n_tracks == 0 or n_dets == 0:
-        return np.zeros((n_tracks, n_dets), dtype=np.float64)
-    dims = {e.shape for e in track_embeddings} | {e.shape for e in detection_embeddings}
-    if len(dims) != 1:
-        raise DimensionError(f"mixed embedding shapes in cost matrix: {sorted(dims)}")
-    tracks = np.stack(track_embeddings).astype(np.float64)
-    dets = np.stack(detection_embeddings).astype(np.float64)
+    """Pairwise cosine distances between (T, D) track and (N, D) detection embeddings.
+
+    Tracks are rows and detections columns; a list of (D,) vectors is accepted
+    on either side.
+    """
+    try:
+        tracks = np.asarray(track_embeddings, dtype=np.float64)
+        dets = np.asarray(detection_embeddings, dtype=np.float64)
+    except ValueError as exc:  # a list of vectors whose shapes differ
+        raise DimensionError(f"mixed embedding shapes in cost matrix: {exc}") from exc
+    if len(tracks) == 0 or len(dets) == 0:
+        return np.zeros((len(tracks), len(dets)), dtype=np.float64)
+    if tracks.ndim != 2 or tracks.shape[1:] != dets.shape[1:]:
+        raise DimensionError(f"embedding shapes differ: {tracks.shape} vs {dets.shape}")
     return np.clip(1.0 - tracks @ dets.T, 0.0, 2.0)
 
 

@@ -5,6 +5,10 @@ the MOT file formats and NMS work in that space; the Kalman measurement
 space (cx, cy, aspect, h) is reached only through the explicit conversion
 functions below. Embeddings are plain float32 numpy arrays, normalized once
 at ingestion so distance computations never re-derive norms.
+
+``Detection`` is the public per-object type; on the per-frame hot path a
+frame's detections travel as one ``DetectionBatch`` of columns instead, so
+parsing, filtering, NMS and association never touch a Python object per row.
 """
 
 from __future__ import annotations
@@ -66,6 +70,50 @@ class Detection:
     objectness: float
     class_score: float = 1.0
     embedding: np.ndarray | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class DetectionBatch:
+    """One frame's detections as columns; row i of every array is detection i.
+
+    ``boxes`` is (N, 4) float64 tlwh, ``objectness`` and ``class_score`` are
+    (N,) float64, and ``embeddings`` is (N, D) (float32 from ``parse_output``)
+    or None when the rows carry no embedding.
+    """
+
+    boxes: np.ndarray
+    objectness: np.ndarray
+    class_score: np.ndarray
+    embeddings: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.objectness)
+
+    def take(self, index) -> DetectionBatch:
+        """The rows selected by ``index`` (integer indices or a boolean mask)."""
+        embeddings = None if self.embeddings is None else self.embeddings[index]
+        return DetectionBatch(
+            self.boxes[index], self.objectness[index], self.class_score[index], embeddings
+        )
+
+    @classmethod
+    def of(cls, detections: DetectionBatch | list[Detection]) -> DetectionBatch:
+        """Stack Detection objects into columns; a batch is returned unchanged.
+
+        Every row's embedding is stacked, so all must be None or all share one
+        shape; anything else raises DimensionError.
+        """
+        if isinstance(detections, DetectionBatch):
+            return detections
+        shapes = {None if d.embedding is None else np.shape(d.embedding) for d in detections}
+        if len(shapes) > 1:
+            raise DimensionError(f"detections mix embedding shapes: {sorted(map(str, shapes))}")
+        return cls(
+            boxes=np.array([d.box.as_tlwh() for d in detections], dtype=np.float64).reshape(-1, 4),
+            objectness=np.array([d.objectness for d in detections], dtype=np.float64),
+            class_score=np.array([d.class_score for d in detections], dtype=np.float64),
+            embeddings=np.stack([d.embedding for d in detections]) if shapes - {None} else None,
+        )
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:

@@ -18,6 +18,7 @@ calibration values for the emulator, not measurements of any real model.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -368,8 +369,8 @@ def load_mot_detections(path: str | Path) -> dict[int, np.ndarray]:
 
     Rows are ``frame,id,bb_left,bb_top,bb_width,bb_height,conf,...`` with
     1-indexed frames in the file and 0-indexed frames in the returned map; the
-    id field is ignored and extra trailing fields are allowed. Confidence is
-    clamped into [0, 1].
+    id field is ignored and extra trailing fields are allowed. Box and
+    confidence fields must be finite; confidence is clamped into [0, 1].
     """
     per_frame: dict[int, list[np.ndarray]] = {}
     with open(path, "r", encoding="utf-8") as handle:
@@ -388,6 +389,8 @@ def load_mot_detections(path: str | Path) -> dict[int, np.ndarray]:
                 raise ParseError(f"line {lineno}: non-numeric field ({exc})") from exc
             if frame < 1:
                 raise ParseError(f"line {lineno}: frame index must be >= 1, got {frame}")
+            if not all(math.isfinite(v) for v in (x, y, w, h, conf)):
+                raise ParseError(f"line {lineno}: non-finite box or confidence field")
             if w <= 0 or h <= 0:
                 raise InvalidBoxError(f"line {lineno}: non-positive box size w={w}, h={h}")
             conf = min(max(conf, 0.0), 1.0)

@@ -3,11 +3,12 @@
 Frame-by-frame correspondence follows the standard protocol: a ground-truth
 object keeps its previously assigned hypothesis while the pair still
 overlaps at the match threshold; everything else is re-matched per frame by
-minimum-cost assignment on 1 - IoU, costed from one IoU matrix over the
-frame's free boxes. Identity metrics come from a separate global bipartite
-matching between whole trajectories: each frame's IoU matrix, thresholded,
-is added into a (gt ids, hyp ids) coverage matrix of jointly covered frames,
-as in TrackEval's Identity metric (IDF1 of Ristani et al. 2016).
+minimum-cost assignment on 1 - IoU. Identity metrics come from a separate
+global bipartite matching between whole trajectories: each frame's IoU
+matrix, thresholded, is added into a (gt ids, hyp ids) coverage matrix of
+jointly covered frames, as in TrackEval's Identity metric (IDF1 of Ristani
+et al. 2016). Both matchings read every overlap from one IoU matrix per
+frame, which ``evaluate`` builds once for the two.
 
 MOTP is reported as the mean matched distance (1 - IoU), so 0.0 is perfect.
 """
@@ -21,7 +22,11 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .assoc import hungarian_solve
-from .core import BoundingBox, iou, iou_matrix
+from .core import BoundingBox, iou_matrix
+
+# Not called here. It stays in this namespace so that call counters wrapped
+# around trackforge.moteval.iou keep resolving; they now read 0.
+from .core import iou  # noqa: F401
 from .errors import DuplicateIdError, InvalidBoxError, ParseError, UndefinedMetricError
 from .tracker import TrackerOutput
 
@@ -44,41 +49,46 @@ def match_frame(
     prev: dict[int, int],
     iou_min: float = 0.5,
     frame_index: int = 0,
+    overlaps: np.ndarray | None = None,
 ) -> FrameCorrespondence:
     """Match one frame's hypotheses to ground truth.
 
     ``prev`` maps each gt id to its most recently matched hyp id; such pairs
     are kept whenever both are present and still overlap at ``iou_min``, and
     the remainder is solved by minimum-cost assignment with pairs below the
-    threshold forbidden.
+    threshold forbidden. Every overlap, kept pair or free pair, is read from
+    ``overlaps``, the frame's ``iou_matrix`` of gt by hyp boxes (computed here
+    when not given).
     """
     _check_unique("gt", gt)
     _check_unique("hyp", hyp)
-    gt_boxes = dict(gt)
-    hyp_boxes = dict(hyp)
+    if overlaps is None:
+        overlaps = iou_matrix(_tlwh(gt), _tlwh(hyp))
+    hyp_col = {hyp_id: c for c, (hyp_id, _) in enumerate(hyp)}
 
     matches: list[tuple[int, int, float]] = []
     taken_gt: set[int] = set()
     taken_hyp: set[int] = set()
-    for gt_id, _ in gt:
+    for r, (gt_id, _) in enumerate(gt):
         hyp_id = prev.get(gt_id)
-        if hyp_id is None or hyp_id not in hyp_boxes or hyp_id in taken_hyp:
+        if hyp_id not in hyp_col or hyp_id in taken_hyp:
             continue
-        overlap = iou(gt_boxes[gt_id], hyp_boxes[hyp_id])
+        overlap = float(overlaps[r, hyp_col[hyp_id]])
         if overlap >= iou_min:
             matches.append((gt_id, hyp_id, overlap))
             taken_gt.add(gt_id)
             taken_hyp.add(hyp_id)
 
-    free_gt = [(i, b) for i, b in gt if i not in taken_gt]
-    free_hyp = [(i, b) for i, b in hyp if i not in taken_hyp]
-    if free_gt and free_hyp:
-        overlaps = iou_matrix(_tlwh(free_gt), _tlwh(free_hyp))
-        cost = np.where(overlaps >= iou_min, 1.0 - overlaps, np.inf)
+    free_rows = [r for r, (i, _) in enumerate(gt) if i not in taken_gt]
+    free_cols = [c for c, (i, _) in enumerate(hyp) if i not in taken_hyp]
+    if free_rows and free_cols:
+        free = overlaps[np.ix_(free_rows, free_cols)]
+        cost = np.where(free >= iou_min, 1.0 - free, np.inf)
         for r, c, value in hungarian_solve(cost).matches:
-            matches.append((free_gt[r][0], free_hyp[c][0], 1.0 - value))
-            taken_gt.add(free_gt[r][0])
-            taken_hyp.add(free_hyp[c][0])
+            gt_id, hyp_id = gt[free_rows[r]][0], hyp[free_cols[c]][0]
+            matches.append((gt_id, hyp_id, 1.0 - value))
+            taken_gt.add(gt_id)
+            taken_hyp.add(hyp_id)
 
     return FrameCorrespondence(
         frame_index=frame_index,
@@ -92,8 +102,15 @@ def accumulate(
     gt_frames: dict[int, FrameBoxes],
     hyp_frames: dict[int, FrameBoxes],
     iou_min: float = 0.5,
+    overlaps: dict[int, np.ndarray] | None = None,
 ) -> list[FrameCorrespondence]:
-    """Run match_frame over every frame, carrying the last-known id mapping."""
+    """Run match_frame over every frame, carrying the last-known id mapping.
+
+    ``overlaps`` maps each frame both sides have boxes in to its gt-by-hyp
+    ``iou_matrix``; it is computed here when not given.
+    """
+    if overlaps is None:
+        overlaps = _frame_overlaps(gt_frames, hyp_frames)
     prev: dict[int, int] = {}
     correspondences = []
     for frame_index in sorted(set(gt_frames) | set(hyp_frames)):
@@ -103,6 +120,7 @@ def accumulate(
             prev,
             iou_min,
             frame_index,
+            overlaps.get(frame_index),
         )
         for gt_id, hyp_id, _ in corr.matches:
             prev[gt_id] = hyp_id
@@ -194,12 +212,13 @@ def id_metrics(
     gt_frames: dict[int, FrameBoxes],
     hyp_frames: dict[int, FrameBoxes],
     iou_min: float = 0.5,
+    overlaps: dict[int, np.ndarray] | None = None,
 ) -> tuple[float, float, float]:
     """(IDF1, IDP, IDR) from a global trajectory-to-trajectory matching.
 
     Each (gt, hyp) trajectory pair is scored by the number of frames both are
     present and overlap at ``iou_min``; the matching maximizing total covered
-    frames defines IDTP.
+    frames defines IDTP. ``overlaps`` is as for ``accumulate``.
     """
     for label, frames in (("gt", gt_frames), ("hyp", hyp_frames)):
         for entries in frames.values():
@@ -213,16 +232,15 @@ def id_metrics(
     hyp_index = _id_index(hyp_frames)
     idtp = 0.0
     if gt_index and hyp_index:
+        if overlaps is None:
+            overlaps = _frame_overlaps(gt_frames, hyp_frames)
         coverage = np.zeros((len(gt_index), len(hyp_index)))
-        for frame_index, gt in gt_frames.items():
-            hyp = hyp_frames.get(frame_index)
-            if not gt or not hyp:
-                continue
-            covered = iou_matrix(_tlwh(gt), _tlwh(hyp)) >= iou_min
+        for frame_index, frame in overlaps.items():
+            gt, hyp = gt_frames[frame_index], hyp_frames[frame_index]
             # Ids are unique within a frame (checked above), so no cell is
             # hit twice by this fancy-indexed add.
             cells = np.ix_([gt_index[i] for i, _ in gt], [hyp_index[i] for i, _ in hyp])
-            coverage[cells] += covered
+            coverage[cells] += frame >= iou_min
         rows, cols = linear_sum_assignment(coverage, maximize=True)
         idtp = float(coverage[rows, cols].sum())
 
@@ -271,8 +289,9 @@ def evaluate(
     iou_min: float = 0.5,
 ) -> MetricsReport:
     """Compute the complete metrics row for a tracking result against ground truth."""
-    summary = clear_mot(accumulate(gt_frames, hyp_frames, iou_min))
-    idf1, idp, idr = id_metrics(gt_frames, hyp_frames, iou_min)
+    overlaps = _frame_overlaps(gt_frames, hyp_frames)  # shared by both matchings
+    summary = clear_mot(accumulate(gt_frames, hyp_frames, iou_min, overlaps))
+    idf1, idp, idr = id_metrics(gt_frames, hyp_frames, iou_min, overlaps)
     return MetricsReport(
         idf1=idf1,
         idp=idp,
@@ -326,6 +345,17 @@ def outputs_to_frames(outputs: list[TrackerOutput]) -> dict[int, FrameBoxes]:
     return {
         out.frame_index: [(track_id, box) for track_id, box, _ in out.records]
         for out in outputs
+    }
+
+
+def _frame_overlaps(
+    gt_frames: dict[int, FrameBoxes], hyp_frames: dict[int, FrameBoxes]
+) -> dict[int, np.ndarray]:
+    """Each frame both sides have boxes in -> its gt-by-hyp ``iou_matrix``."""
+    return {
+        frame_index: iou_matrix(_tlwh(gt), _tlwh(hyp_frames[frame_index]))
+        for frame_index, gt in gt_frames.items()
+        if gt and hyp_frames.get(frame_index)
     }
 
 

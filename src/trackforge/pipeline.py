@@ -18,6 +18,10 @@ stage's next stalls, so each stage's stalls add up to its prices. Mixed
 precision selects a smaller latency factor and quantizes detection
 embeddings to binary16 before association; box coordinates always stay at
 full precision.
+
+Post-processing handles a frame as one DetectionBatch: ``parse_output``
+builds it, mixed precision quantizes and renormalizes its whole embedding
+matrix in one call each, and ``Tracker.step`` takes it as is.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core import Detection, normalize, quantize_binary16
+from .core import normalize, quantize_binary16
 from .detgen import KAPPA_FULL, KAPPA_MIXED, LatencyModel, emulated_latency
 from .errors import ConfigError, MeasurementError, PipelineAborted
 from .postproc import parse_output
@@ -283,8 +287,11 @@ class _Runner:
     def _post_one(self, frame_index: int, raw: np.ndarray) -> None:
         start = time.perf_counter()
         detections = parse_output(raw, self.tracker.config.embedding_dim)
-        if self.quantize:
-            detections = [_quantize_detection(d) for d in detections]
+        if self.quantize and detections.embeddings is not None:
+            # Renormalized so cosine math keeps its unit-norm precondition.
+            detections = replace(
+                detections, embeddings=normalize(quantize_binary16(detections.embeddings))
+            )
         output = self.tracker.step(frame_index, detections)
         budget = self.config.post_ms(raw.shape[0]) / 1000.0
         self._stall("post", budget - (time.perf_counter() - start))
@@ -382,14 +389,6 @@ class _Runner:
             frames_total=total,
             stage_busy_s=dict(self.busy),
         )
-
-
-def _quantize_detection(det: Detection) -> Detection:
-    """Reduce the embedding to binary16 resolution; renormalize so downstream
-    cosine math keeps its unit-norm precondition (direction is preserved)."""
-    if det.embedding is None:
-        return det
-    return replace(det, embedding=normalize(quantize_binary16(det.embedding)))
 
 
 # time.sleep can overshoot by a millisecond or more depending on kernel timer

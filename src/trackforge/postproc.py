@@ -1,75 +1,81 @@
 """Raw model-output parsing, confidence filtering, and non-max suppression.
 
 A raw output frame is a matrix with one row per detection: 4 box values
-(tlwh), objectness, class score, then the appearance embedding. Embeddings
-are normalized here, at ingestion, so downstream distance math can assume
-unit vectors.
+(tlwh), objectness, class score, then the appearance embedding. It is parsed
+into one ``DetectionBatch`` of columns, validated and normalized row-wise in
+whole-array operations, so downstream distance math can assume unit vectors.
+``filter_confidence`` and ``nms`` compute on those columns: given a batch they
+return a batch, given a list of Detection objects they return the kept objects.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import BoundingBox, Detection, EMBEDDING_DIM, iou_matrix, normalize
+from .core import Detection, DetectionBatch, EMBEDDING_DIM, iou_matrix, normalize
 
 # Not called here. It stays in this namespace so that call counters wrapped
 # around trackforge.postproc.iou keep resolving; they now read 0.
 from .core import iou  # noqa: F401
-from .errors import ConfigError, LayoutError
+from .errors import ConfigError, InvalidBoxError, LayoutError
 
 ROW_PREFIX = 6  # 4 box values + objectness + class score
 
 
-def parse_output(raw: np.ndarray, embedding_dim: int = EMBEDDING_DIM) -> list[Detection]:
-    """Turn a (n, 6 + embedding_dim) matrix into Detection objects.
+def parse_output(raw: np.ndarray, embedding_dim: int = EMBEDDING_DIM) -> DetectionBatch:
+    """Turn a (n, 6 + embedding_dim) matrix into one DetectionBatch.
 
     With ``embedding_dim == 0`` the rows carry no embedding and
-    ``Detection.embedding`` is left as None.
+    ``DetectionBatch.embeddings`` is None. The first faulty row decides the
+    error, and within a row a bad box (InvalidBoxError) wins over a bad
+    embedding (DegenerateEmbeddingError).
     """
     raw = np.asarray(raw, dtype=np.float64)
-    if raw.ndim != 2 or (raw.shape[0] > 0 and raw.shape[1] != ROW_PREFIX + embedding_dim):
-        raise LayoutError(
-            f"expected rows of width {ROW_PREFIX + embedding_dim}, got shape {raw.shape}"
+    width = ROW_PREFIX + embedding_dim
+    if raw.ndim != 2 or (raw.shape[0] > 0 and raw.shape[1] != width):
+        raise LayoutError(f"expected rows of width {width}, got shape {raw.shape}")
+    raw = raw.reshape(-1, width)
+    boxes = raw[:, :4]
+    bad = np.flatnonzero(~(np.isfinite(boxes).all(axis=1) & (boxes[:, 2] > 0) & (boxes[:, 3] > 0)))
+    # Rows before the first bad box have their embeddings checked first.
+    rows = raw[: bad[0]] if bad.size else raw
+    embeddings = normalize(rows[:, ROW_PREFIX:]) if embedding_dim > 0 else None
+    if bad.size:
+        raise InvalidBoxError(
+            f"row {bad[0]}: box must be finite with positive size, got {boxes[bad[0]].tolist()}"
         )
-    detections: list[Detection] = []
-    for row in raw:
-        box = BoundingBox(float(row[0]), float(row[1]), float(row[2]), float(row[3]))
-        embedding = normalize(row[ROW_PREFIX:]) if embedding_dim > 0 else None
-        detections.append(
-            Detection(
-                box=box,
-                objectness=float(row[4]),
-                class_score=float(row[5]),
-                embedding=embedding,
-            )
-        )
-    return detections
+    return DetectionBatch(boxes, raw[:, 4], raw[:, 5], embeddings)
 
 
 def serialize_detections(
-    detections: list[Detection], embedding_dim: int = EMBEDDING_DIM
+    detections: DetectionBatch | list[Detection], embedding_dim: int = EMBEDDING_DIM
 ) -> np.ndarray:
     """Inverse of :func:`parse_output` for already-normalized detections."""
-    rows = np.zeros((len(detections), ROW_PREFIX + embedding_dim), dtype=np.float64)
-    for i, det in enumerate(detections):
-        rows[i, :4] = det.box.as_tlwh()
-        rows[i, 4] = det.objectness
-        rows[i, 5] = det.class_score
-        if embedding_dim > 0:
-            if det.embedding is None or det.embedding.shape != (embedding_dim,):
-                raise LayoutError(f"detection {i} lacks a {embedding_dim}-dim embedding")
-            rows[i, ROW_PREFIX:] = det.embedding
+    batch = DetectionBatch.of(detections)
+    rows = np.zeros((len(batch), ROW_PREFIX + embedding_dim), dtype=np.float64)
+    rows[:, :4] = batch.boxes
+    rows[:, 4] = batch.objectness
+    rows[:, 5] = batch.class_score
+    if embedding_dim > 0 and len(batch):
+        if batch.embeddings is None or batch.embeddings.shape[1:] != (embedding_dim,):
+            raise LayoutError(f"detections lack {embedding_dim}-dim embeddings")
+        rows[:, ROW_PREFIX:] = batch.embeddings
     return rows
 
 
-def filter_confidence(detections: list[Detection], threshold: float) -> list[Detection]:
+def filter_confidence(
+    detections: DetectionBatch | list[Detection], threshold: float
+) -> DetectionBatch | list[Detection]:
     """Keep detections with objectness >= threshold, preserving order."""
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError(f"confidence threshold must be in [0, 1], got {threshold}")
-    return [d for d in detections if d.objectness >= threshold]
+    batch = DetectionBatch.of(detections)
+    return _kept(detections, np.flatnonzero(batch.objectness >= threshold))
 
 
-def nms(detections: list[Detection], iou_threshold: float) -> list[Detection]:
+def nms(
+    detections: DetectionBatch | list[Detection], iou_threshold: float
+) -> DetectionBatch | list[Detection]:
     """Greedy non-max suppression.
 
     Repeatedly keeps the highest-scoring remaining detection and discards all
@@ -81,17 +87,23 @@ def nms(detections: list[Detection], iou_threshold: float) -> list[Detection]:
     """
     if not 0.0 < iou_threshold < 1.0:
         raise ConfigError(f"NMS IoU threshold must be in (0, 1), got {iou_threshold}")
-    boxes = np.array([d.box.as_tlwh() for d in detections], dtype=np.float64)
-    overlaps = iou_matrix(boxes, boxes) > iou_threshold
-    scores = np.array([d.objectness for d in detections], dtype=np.float64)
-    suppressed = np.zeros(len(detections), dtype=bool)
+    batch = DetectionBatch.of(detections)
+    overlaps = iou_matrix(batch.boxes, batch.boxes) > iou_threshold
+    suppressed = np.zeros(len(batch), dtype=bool)
     keep: list[int] = []
     # A stable sort on negated scores puts ties in ascending index order.
-    for i in np.argsort(-scores, kind="stable").tolist():
+    for i in np.argsort(-batch.objectness, kind="stable").tolist():
         if suppressed[i]:
             continue
         keep.append(i)
         # Row i also flags i itself and boxes earlier in the order, which are
         # already settled.
         suppressed |= overlaps[i]
-    return [detections[i] for i in sorted(keep)]
+    return _kept(detections, sorted(keep))
+
+
+def _kept(detections: DetectionBatch | list[Detection], index) -> DetectionBatch | list[Detection]:
+    """The rows at ascending ``index``: a batch for a batch, a list for a list."""
+    if isinstance(detections, DetectionBatch):
+        return detections.take(index)
+    return [detections[i] for i in index]

@@ -13,6 +13,11 @@ the smoothed appearance embeddings ``(T, D)`` in ``Tracker.embeddings``. Row
 dropped together with their tracks, and births are appended in both places.
 So predict, gating, update and embedding smoothing each run once per frame
 over all tracks (or all matched ones), never once per track.
+
+The frame's detections arrive as one ``DetectionBatch`` (a list of Detection
+objects is stacked into one at the door), and the tracker works on its
+columns: the embedding check, the measurement conversion, the cost matrix,
+smoothing and births each take whole arrays, once per frame.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .assoc import apply_gate, build_cost_matrix, hungarian_solve, match_with_threshold
-from .core import BoundingBox, Detection, box_to_measurement, measurement_to_box, normalize
+from .core import BoundingBox, Detection, DetectionBatch, measurement_to_box, normalize
 from .errors import ConfigError, DimensionError, OrderingError
 from .motion import CHI2_GATE_95_4DOF, KalmanFilter, KalmanState, MotionNoise
 from .postproc import filter_confidence, nms
@@ -94,7 +99,11 @@ class Tracker:
         self._next_id = 1
         self._last_frame: int | None = None
 
-    def step(self, frame_index: int, detections: list[Detection]) -> TrackerOutput:
+    def step(
+        self, frame_index: int, detections: DetectionBatch | list[Detection]
+    ) -> TrackerOutput:
+        """Track one frame. Every row must carry an ``embedding_dim`` embedding,
+        whether or not it survives the confidence filter and NMS."""
         cfg = self.config
         if self._last_frame is not None and frame_index <= self._last_frame:
             raise OrderingError(
@@ -102,29 +111,26 @@ class Tracker:
             )
         self._last_frame = frame_index
 
-        dets = nms(filter_confidence(detections, cfg.conf_threshold), cfg.nms_iou)
-        for det in dets:
-            if det.embedding is None:
-                raise DimensionError("tracking requires detections with embeddings")
-            if det.embedding.shape != (cfg.embedding_dim,):
-                raise DimensionError(
-                    f"detection embedding shape {det.embedding.shape} does not match "
-                    f"embedding_dim {cfg.embedding_dim}"
-                )
+        batch = DetectionBatch.of(detections)
+        shape = None if batch.embeddings is None else batch.embeddings.shape[1:]
+        if len(batch) and shape != (cfg.embedding_dim,):
+            raise DimensionError(
+                f"tracking requires {cfg.embedding_dim}-dim detection embeddings, got {shape}"
+            )
+        dets = nms(filter_confidence(batch, cfg.conf_threshold), cfg.nms_iou)
 
         self.kalman = self._filter.predict(self.kalman)
 
-        measurements = (
-            np.stack([box_to_measurement(d.box) for d in dets])
-            if dets
-            else np.zeros((0, 4), dtype=np.float64)
-        )
-        det_embeddings = [d.embedding for d in dets]
+        # box_to_measurement, column-wise: (cx, cy, aspect, h).
+        x, y, w, h = dets.boxes.T
+        measurements = np.stack([x + w / 2.0, y + h / 2.0, w / h, h], axis=1)
+        det_embeddings = dets.embeddings if len(dets) else np.zeros((0, cfg.embedding_dim))
         cost = build_cost_matrix(self.embeddings, det_embeddings)
-        if self.tracks and dets:
+        if self.tracks and len(dets):
             cost = apply_gate(cost, self._gate_matrix(measurements), cfg.gate_threshold)
         assignment = match_with_threshold(hungarian_solve(cost), cost, cfg.max_cost)
 
+        scores = dets.objectness.tolist()
         emitted: list[tuple[int, BoundingBox, float]] = []
         if assignment.matches:
             rows = [track_idx for track_idx, _, _ in assignment.matches]
@@ -137,7 +143,7 @@ class Tracker:
             self.kalman.covariance[rows] = updated.covariance
             self.embeddings[rows] = smooth_embedding(
                 self.embeddings[rows],
-                np.stack([det_embeddings[c] for c in cols]),
+                det_embeddings[cols],
                 cfg.smoothing_alpha,
             )
             for row, col in zip(rows, cols):
@@ -148,7 +154,7 @@ class Tracker:
                 track.hits += 1
                 if track.hits >= cfg.min_hits:
                     box = measurement_to_box(self.kalman.mean[row, :4])
-                    emitted.append((track.track_id, box, dets[col].objectness))
+                    emitted.append((track.track_id, box, scores[col]))
 
         for track_idx in assignment.unmatched_tracks:
             track = self.tracks[track_idx]
@@ -176,7 +182,7 @@ class Tracker:
                 np.concatenate([self.kalman.mean, [b.mean for b in births]]),
                 np.concatenate([self.kalman.covariance, [b.covariance for b in births]]),
             )
-            self.embeddings = np.concatenate([self.embeddings, [det_embeddings[i] for i in born]])
+            self.embeddings = np.concatenate([self.embeddings, det_embeddings[born]])
         for det_idx in born:
             track = Track(
                 track_id=self._next_id, state=TrackState.ACTIVE, last_update_frame=frame_index
@@ -185,7 +191,7 @@ class Tracker:
             self.tracks.append(track)
             if track.hits >= cfg.min_hits:
                 box = measurement_to_box(measurements[det_idx])  # a new track's mean
-                emitted.append((track.track_id, box, dets[det_idx].objectness))
+                emitted.append((track.track_id, box, scores[det_idx]))
 
         return TrackerOutput(frame_index=frame_index, records=tuple(sorted(emitted)))
 

@@ -48,6 +48,22 @@ class TestBuildCostMatrix:
         with pytest.raises(DimensionError):
             build_cost_matrix([normalize(np.ones(4))], [normalize(np.ones(5))])
 
+    def test_arrays_equal_lists(self):
+        rng = np.random.default_rng(12)
+        tracks = normalize(rng.standard_normal((3, 32)))
+        dets = normalize(rng.standard_normal((5, 32)))
+        np.testing.assert_array_equal(
+            build_cost_matrix(tracks, dets), build_cost_matrix(list(tracks), list(dets))
+        )
+        assert build_cost_matrix(np.zeros((0, 32)), dets).shape == (0, 5)
+        assert build_cost_matrix(tracks, np.zeros((0, 32), dtype=np.float32)).shape == (3, 0)
+
+    def test_mixed_shapes_in_one_list(self):
+        with pytest.raises(DimensionError):
+            build_cost_matrix([normalize(np.ones(4)), normalize(np.ones(5))], [normalize(np.ones(4))])
+        with pytest.raises(DimensionError):
+            build_cost_matrix(np.ones((2, 4)), np.ones((3, 5)))
+
 
 class TestApplyGate:
     def test_all_pass(self):

@@ -132,6 +132,19 @@ class TestTrack:
         assert result.exit_code == 2
         assert "--embeddings" in result.output
 
+    def test_non_finite_detection_field_exits_two(self, runner, tmp_path):
+        det_file = tmp_path / "det.txt"
+        det_file.write_text("1,-1,10,20,30,40,0.9\n1,-1,10,20,30,40,nan\n")
+        detgen.write_embedding_sidecar(
+            tmp_path / "det.emb", {(0, 0): np.ones(DIM), (0, 1): np.ones(DIM)}, DIM
+        )
+        result = runner.invoke(main, [
+            "track", "--detections", str(det_file), "--embeddings", str(tmp_path / "det.emb"),
+            "--embedding-dim", str(DIM), "--out", str(tmp_path / "res.txt"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "line 2" in result.output
+
     def test_file_driven_run_matches_scenario_ids(self, runner, tmp_path):
         runner.invoke(main, synth_args(tmp_path, frames=12))
         scenario = detgen.load_scenario(tmp_path / "scen.json")

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from trackforge.core import (
     BoundingBox,
+    Detection,
+    DetectionBatch,
     box_to_measurement,
     cosine_distance,
     iou,
@@ -193,3 +195,44 @@ class TestQuantizeBinary16:
         ours = quantize_binary16(values)
         for raw, got in zip(values, ours):
             assert float(got) == quantize_binary16_reference(float(raw))
+
+
+class TestDetectionBatch:
+    def _detections(self, embeddings):
+        return [
+            Detection(BoundingBox(i, 2.0 * i, 3.0, 4.0 + i), 0.1 * i, 0.5, embedding)
+            for i, embedding in enumerate(embeddings)
+        ]
+
+    def test_of_stacks_columns_and_keeps_a_batch(self):
+        dets = self._detections([_unit([1, i, 0]) for i in range(4)])
+        batch = DetectionBatch.of(dets)
+        assert len(batch) == 4
+        np.testing.assert_array_equal(batch.boxes[2], [2.0, 4.0, 3.0, 6.0])
+        np.testing.assert_array_equal(batch.objectness, [d.objectness for d in dets])
+        np.testing.assert_array_equal(batch.class_score, [0.5] * 4)
+        np.testing.assert_array_equal(batch.embeddings, np.stack([d.embedding for d in dets]))
+        assert batch.embeddings.dtype == np.float32
+        assert DetectionBatch.of(batch) is batch
+
+    def test_of_empty_and_without_embeddings(self):
+        empty = DetectionBatch.of([])
+        assert len(empty) == 0 and empty.boxes.shape == (0, 4) and empty.embeddings is None
+        assert DetectionBatch.of(self._detections([None, None])).embeddings is None
+
+    @pytest.mark.parametrize(
+        "embeddings",
+        [[np.ones(3, np.float32), None], [np.ones(3, np.float32), np.ones(4, np.float32)]],
+    )
+    def test_of_rejects_mixed_embeddings(self, embeddings):
+        with pytest.raises(DimensionError):
+            DetectionBatch.of(self._detections(embeddings))
+
+    def test_take_indices_and_mask(self):
+        batch = DetectionBatch.of(self._detections([_unit([1, i, 0]) for i in range(5)]))
+        picked = batch.take([3, 1])
+        np.testing.assert_array_equal(picked.objectness, batch.objectness[[3, 1]])
+        np.testing.assert_array_equal(picked.embeddings, batch.embeddings[[3, 1]])
+        masked = batch.take(batch.objectness >= 0.2)
+        np.testing.assert_array_equal(masked.boxes, batch.boxes[2:])
+        assert len(batch.take([])) == 0

@@ -230,6 +230,22 @@ class TestMotDetectionFile(object):
         with pytest.raises(ParseError, match="line 2"):
             load_mot_detections(path)
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "2,-1,10,20,30,40,nan",  # a NaN confidence would survive the clamp
+            "2,-1,inf,20,30,40,0.9",
+            "2,-1,10,-inf,30,40,0.9",
+            "2,-1,10,20,nan,40,0.9",
+            "2,-1,10,20,30,1e400,0.9",
+        ],
+    )
+    def test_non_finite_field_names_line(self, tmp_path, row):
+        path = tmp_path / "det.txt"
+        path.write_text(f"1,-1,10,20,30,40,0.9\n{row}\n")
+        with pytest.raises(ParseError, match="line 2"):
+            load_mot_detections(path)
+
     def test_confidence_clamped(self, tmp_path):
         path = tmp_path / "det.txt"
         path.write_text("1,-1,10,20,30,40,1.7\n2,-1,10,20,30,40,-0.5\n")

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from trackforge import moteval
-from trackforge.core import BoundingBox
+from trackforge.assoc import hungarian_solve
+from trackforge.core import BoundingBox, iou
 from trackforge.detgen import make_scenario, scenario_ground_truth
 from trackforge.errors import DuplicateIdError, ParseError, UndefinedMetricError
 from trackforge.moteval import (
@@ -232,6 +233,59 @@ def _streams(ids):
         lambda boxes: list(boxes.items())
     )
     return st.dictionaries(st.integers(0, 5), frame, max_size=6)
+
+
+def _match_frame_pairwise(gt, hyp, prev, iou_min=0.5):
+    """match_frame's protocol with one ``iou`` call per pair: the per-pair reference."""
+    matches, hyp_boxes = [], dict(hyp)
+    for gt_id, gt_box in gt:
+        hyp_id = prev.get(gt_id)
+        if hyp_id in hyp_boxes and hyp_id not in {h for _, h, _ in matches}:
+            overlap = iou(gt_box, hyp_boxes[hyp_id])
+            if overlap >= iou_min:
+                matches.append((gt_id, hyp_id, overlap))
+    free_gt = [(i, b) for i, b in gt if i not in {g for g, _, _ in matches}]
+    free_hyp = [(i, b) for i, b in hyp if i not in {h for _, h, _ in matches}]
+    if free_gt and free_hyp:
+        cost = np.array([[1.0 - iou(g, h) if iou(g, h) >= iou_min else np.inf
+                          for _, h in free_hyp] for _, g in free_gt])
+        for r, c, value in hungarian_solve(cost).matches:
+            matches.append((free_gt[r][0], free_hyp[c][0], 1.0 - value))
+    return tuple(matches)
+
+
+class TestMatchFrameFromOneMatrix:
+    @settings(max_examples=150, deadline=None)
+    @given(_streams(range(1, 5)), _streams(range(11, 15)))
+    def test_accumulate_equals_pairwise_reference(self, gt, hyp):
+        # evaluate() hands both matchings the same per-frame IoU matrices.
+        shared = moteval._frame_overlaps(gt, hyp)
+        assert accumulate(gt, hyp, 0.5, shared) == accumulate(gt, hyp)
+        if any(gt.values()):
+            assert id_metrics(gt, hyp, 0.5, shared) == id_metrics(gt, hyp)
+        prev: dict[int, int] = {}
+        for corr in accumulate(gt, hyp):
+            expected = _match_frame_pairwise(
+                gt.get(corr.frame_index, []), hyp.get(corr.frame_index, []), prev
+            )
+            assert corr.matches == expected  # ==, so every overlap is bit for bit
+            for gt_id, hyp_id, _ in corr.matches:
+                prev[gt_id] = hyp_id
+
+    def test_carried_over_overlap_is_exact(self):
+        gt = [(1, box(x=0.1, w=10.3))]
+        hyp = [(7, box(x=3.7, w=9.9))]
+        corr = match_frame(gt, hyp, prev={1: 7}, iou_min=0.1)
+        assert corr.matches == ((1, 7, iou(gt[0][1], hyp[0][1])),)
+
+    def test_evaluate_makes_no_iou_calls(self, monkeypatch):
+        gt, hyp = frames_with_one_object(10, hyp_id_by_frame=lambda f: 1 if f < 5 else 2)
+
+        def forbidden(a, b):
+            raise AssertionError("match_frame called iou")
+
+        monkeypatch.setattr(moteval, "iou", forbidden)
+        assert evaluate(gt, hyp).id_switches == 1
 
 
 class TestEvaluate:

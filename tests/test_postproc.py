@@ -1,8 +1,27 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trackforge.core import BoundingBox, Detection, iou, iou_matrix, normalize
-from trackforge.errors import ConfigError, InvalidBoxError, LayoutError
+from trackforge.core import (
+    BoundingBox,
+    Detection,
+    DetectionBatch,
+    iou,
+    iou_matrix,
+    normalize,
+    quantize_binary16,
+)
+from trackforge.detgen import NoiseParams, generate_frame, make_scenario
+from trackforge.errors import (
+    ConfigError,
+    DegenerateEmbeddingError,
+    InvalidBoxError,
+    LayoutError,
+    TrackforgeError,
+)
 from trackforge.postproc import filter_confidence, nms, parse_output, serialize_detections
 
 from oracles import nms_reference_indices
@@ -18,15 +37,19 @@ def make_row(x, y, w, h, obj, cls, dim=8):
 class TestParseOutput:
     def test_example_row(self):
         raw = np.stack([make_row(10, 20, 30, 40, 0.9, 1.0)])
-        (det,) = parse_output(raw, embedding_dim=8)
-        assert det.box == BoundingBox(10, 20, 30, 40)
-        assert det.objectness == 0.9
-        assert det.class_score == 1.0
-        assert det.embedding.shape == (8,)
-        assert abs(np.linalg.norm(det.embedding.astype(np.float64)) - 1.0) < 1e-6
+        batch = parse_output(raw, embedding_dim=8)
+        assert len(batch) == 1
+        assert BoundingBox(*batch.boxes[0]) == BoundingBox(10, 20, 30, 40)
+        assert batch.objectness[0] == 0.9
+        assert batch.class_score[0] == 1.0
+        assert batch.embeddings[0].shape == (8,)
+        assert abs(np.linalg.norm(batch.embeddings[0].astype(np.float64)) - 1.0) < 1e-6
 
     def test_empty_matrix(self):
-        assert parse_output(np.zeros((0, 14)), embedding_dim=8) == []
+        batch = parse_output(np.zeros((0, 14)), embedding_dim=8)
+        assert len(batch) == 0
+        assert batch.boxes.shape == (0, 4)
+        assert batch.embeddings.shape == (0, 8)
 
     def test_wrong_width(self):
         with pytest.raises(LayoutError):
@@ -38,13 +61,13 @@ class TestParseOutput:
         raw = np.zeros((1, 518))
         raw[0, 2:4] = 5.0
         raw[0, 6] = 1.0
-        (det,) = parse_output(raw)
-        assert det.embedding.shape == (512,)
+        assert parse_output(raw).embeddings.shape == (1, 512)
 
     def test_no_embeddings(self):
         raw = np.array([[1.0, 2.0, 3.0, 4.0, 0.5, 1.0]])
-        (det,) = parse_output(raw, embedding_dim=0)
-        assert det.embedding is None
+        batch = parse_output(raw, embedding_dim=0)
+        assert len(batch) == 1
+        assert batch.embeddings is None
 
     def test_invalid_box_row(self):
         with pytest.raises(InvalidBoxError):
@@ -62,11 +85,108 @@ class TestParseOutput:
             for _ in range(5)
         ]
         again = parse_output(serialize_detections(dets, 8), 8)
-        for a, b in zip(dets, again):
-            assert a.box == b.box
-            assert a.objectness == b.objectness
-            assert a.class_score == b.class_score
-            np.testing.assert_array_equal(a.embedding, b.embedding)
+        assert len(again) == len(dets)
+        for i, a in enumerate(dets):
+            assert a.box == BoundingBox(*again.boxes[i])
+            assert a.objectness == again.objectness[i]
+            assert a.class_score == again.class_score[i]
+            np.testing.assert_array_equal(a.embedding, again.embeddings[i])
+        np.testing.assert_array_equal(serialize_detections(again, 8), serialize_detections(dets, 8))
+
+
+# Faults a row can carry: (column, value) writes; columns 0-3 are the box, 6+ the embedding.
+BOX_FAULTS = {
+    "nan_x": [(0, math.nan)], "inf_y": [(1, math.inf)], "zero_w": [(2, 0.0)],
+    "negative_h": [(3, -2.0)], "inf_w": [(2, math.inf)],
+}
+EMBEDDING_FAULTS = {
+    "zero": [(6 + k, 0.0) for k in range(8)], "nan": [(9, math.nan)], "inf": [(7, -math.inf)],
+}
+
+
+class TestColumnarParse:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([None, *BOX_FAULTS]), st.sampled_from([None, *EMBEDDING_FAULTS])
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_first_faulty_row_decides_the_error(self, faults):
+        raw = np.stack([make_row(3.0 * i, 1.0, 4.0, 5.0, 0.9, 1.0) for i in range(len(faults))])
+        expected = None
+        for row, (box_fault, embedding_fault) in enumerate(faults):
+            for column, value in BOX_FAULTS.get(box_fault, []) + EMBEDDING_FAULTS.get(
+                embedding_fault, []
+            ):
+                raw[row, column] = value
+            if expected is None and box_fault:
+                expected = InvalidBoxError  # a bad box wins within its row
+            elif expected is None and embedding_fault:
+                expected = DegenerateEmbeddingError
+        if expected is None:
+            assert len(parse_output(raw, embedding_dim=8)) == len(faults)
+            return
+        with pytest.raises(TrackforgeError) as caught:
+            parse_output(raw, embedding_dim=8)
+        assert type(caught.value) is expected
+
+    def test_no_per_row_objects_on_a_valid_frame(self, monkeypatch):
+        made = []
+        for cls in (BoundingBox, Detection):
+            def counting(self, *args, _init=cls.__init__, **kwargs):
+                made.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        rng = np.random.default_rng(21)
+        raw = np.stack([
+            make_row(*rng.uniform(0, 300, 2), *rng.uniform(5, 40, 2), rng.uniform(), 1.0)
+            for _ in range(200)
+        ])
+        kept = nms(filter_confidence(parse_output(raw, embedding_dim=8), 0.5), 0.4)
+        assert made == []
+        assert 0 < len(kept) < 200
+        BoundingBox(0.0, 0.0, 1.0, 1.0)  # the counter itself works
+        assert made == ["BoundingBox"]
+
+    def test_batch_and_list_paths_keep_the_same_rows(self):
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            dets = [
+                Detection(d.box, round(d.objectness, 1), embedding=normalize(rng.standard_normal(4)))
+                for d in random_detections(rng, 40, canvas=60.0)
+            ]
+            batch = DetectionBatch.of(dets)
+            for listed, columns in (
+                (filter_confidence(dets, 0.5), filter_confidence(batch, 0.5)),
+                (nms(dets, 0.3), nms(batch, 0.3)),
+            ):
+                assert isinstance(columns, DetectionBatch)
+                np.testing.assert_array_equal(columns.boxes, DetectionBatch.of(listed).boxes)
+                np.testing.assert_array_equal(
+                    columns.embeddings, DetectionBatch.of(listed).embeddings
+                )
+
+    def test_frame_quantization_matches_per_row(self):
+        # Row-wise normalize and binary16 on the whole matrix give the same bits
+        # as the per-detection path on a noisy generated stream.
+        scenario = make_scenario(
+            60, 8, seed=5, embedding_dim=128,
+            noise=NoiseParams(p_miss=0.05, sigma_box=1.0, sigma_emb=0.05, lambda_fp=2.0),
+        )
+        for frame_index in range(scenario.frames):
+            raw, _ = generate_frame(scenario, frame_index, seed=9)
+            batch = parse_output(raw, embedding_dim=128)
+            per_row = [normalize(row[6:]) for row in raw]
+            np.testing.assert_array_equal(batch.embeddings, np.stack(per_row))
+            np.testing.assert_array_equal(
+                normalize(quantize_binary16(batch.embeddings)),
+                np.stack([normalize(quantize_binary16(e)) for e in per_row]),
+            )
 
 
 def _det(score, box=None, index=0):

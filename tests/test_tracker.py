@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trackforge.core import BoundingBox, Detection, box_to_measurement, cosine_distance, normalize
+from trackforge.core import (
+    BoundingBox,
+    Detection,
+    DetectionBatch,
+    box_to_measurement,
+    cosine_distance,
+    normalize,
+)
 from trackforge.detgen import NoiseParams, make_scenario, generate_frame, scenario_ground_truth
 from trackforge.errors import DegenerateEmbeddingError, DimensionError, OrderingError
 from trackforge.moteval import evaluate, outputs_to_frames
@@ -267,3 +276,81 @@ class TestRowBookkeeping:
                 tracker.kalman.covariance[row], replay[track_id].covariance, atol=1e-9
             )
             np.testing.assert_array_equal(tracker.embeddings[row], smoothed[track_id])
+
+
+# One frame row: (slot, score, identity). Slots share a few boxes, so rows can
+# be identical boxes; scores repeat and some fall below the 0.5 threshold.
+_rows = st.lists(
+    st.tuples(st.integers(0, 5), st.sampled_from([0.3, 0.5, 0.7, 0.9]), st.integers(0, 3)),
+    max_size=7,
+)
+
+
+def _raw_frame(frame, rows, rng):
+    raw = np.zeros((len(rows), 6 + DIM))
+    for k, (slot, score, identity) in enumerate(rows):
+        raw[k, :6] = (60.0 * (slot % 3) + 2.0 * frame, 90.0 * (slot // 3) + frame, 20.0, 30.0,
+                      score, 1.0)
+        raw[k, 6 + identity] = 1.0
+        raw[k, 6:] += rng.normal(0.0, 0.05, DIM)
+    return raw
+
+
+def _detections_per_row(raw):
+    """The per-detection parse: one BoundingBox, Detection and normalize per row."""
+    return [
+        Detection(BoundingBox(*row[:4].tolist()), float(row[4]), float(row[5]), normalize(row[6:]))
+        for row in raw
+    ]
+
+
+class TestColumnarStep:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_rows, min_size=1, max_size=8), st.integers(0, 2**16))
+    def test_batch_and_list_give_the_same_stream(self, frames, seed):
+        rng = np.random.default_rng(seed)
+        columns, listed = Tracker(config(max_lost=2)), Tracker(config(max_lost=2))
+        for frame, rows in enumerate(frames):
+            raw = _raw_frame(frame, rows, rng)
+            assert columns.step(frame, parse_output(raw, DIM)) == listed.step(
+                frame, _detections_per_row(raw)
+            )
+        np.testing.assert_array_equal(columns.kalman.mean, listed.kalman.mean)
+        assert [t.track_id for t in columns.tracks] == [t.track_id for t in listed.tracks]
+
+    def test_records_carry_python_floats(self):
+        raw = _raw_frame(0, [(0, 0.9, 0), (4, 0.7, 1)], np.random.default_rng(1))
+        out = Tracker(config()).step(0, parse_output(raw, DIM))
+        assert len(out.records) == 2
+        for track_id, box, score in out.records:
+            assert type(track_id) is int and type(score) is float
+            assert isinstance(box, BoundingBox)
+
+    # Every row's embedding is checked, also rows the filter or NMS drops.
+    @pytest.mark.parametrize(
+        "low",
+        [
+            det(300, 0, None, objectness=0.1),
+            det(300, 0, unit(0, dim=DIM + 1), objectness=0.1),
+            det(300, 0, unit(0).astype(np.float64)[:, None], objectness=0.1),
+        ],
+    )
+    def test_filtered_row_with_bad_embedding_rejected(self, low):
+        tracker = Tracker(config())
+        with pytest.raises(DimensionError):
+            tracker.step(0, [det(0, 0, unit(0)), low])
+
+    def test_frame_without_embeddings_rejected_even_below_threshold(self):
+        with pytest.raises(DimensionError):
+            Tracker(config()).step(0, [det(0, 0, None, objectness=0.1)])
+        raw = np.array([[0.0, 0.0, 20.0, 30.0, 0.1, 1.0]])
+        with pytest.raises(DimensionError):
+            Tracker(config()).step(0, parse_output(raw, embedding_dim=0))
+
+    def test_batch_with_wrong_dim_rejected(self):
+        raw = _raw_frame(0, [(0, 0.9, 0)], np.random.default_rng(2))
+        batch = parse_output(raw, DIM)
+        wider = DetectionBatch(batch.boxes, batch.objectness, batch.class_score,
+                               np.hstack([batch.embeddings, batch.embeddings]))
+        with pytest.raises(DimensionError):
+            Tracker(config()).step(0, wider)
