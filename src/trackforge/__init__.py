@@ -3,7 +3,6 @@
 from .assoc import Assignment, apply_gate, build_cost_matrix, hungarian_solve, match_with_threshold
 from .core import (
     BoundingBox,
-    Detection,
     DetectionBatch,
     box_to_measurement,
     cosine_distance,
@@ -33,7 +32,6 @@ from .pipeline import (
     RunReport,
     StageQueue,
     batcher,
-    measure_fps,
     predicted_fps,
     run,
 )
@@ -46,7 +44,6 @@ __all__ = [
     "Assignment",
     "BoundingBox",
     "CHI2_GATE_95_4DOF",
-    "Detection",
     "DetectionBatch",
     "ExecutionMode",
     "KalmanFilter",
@@ -83,7 +80,6 @@ __all__ = [
     "make_scenario",
     "match_frame",
     "match_with_threshold",
-    "measure_fps",
     "measurement_to_box",
     "nms",
     "normalize",

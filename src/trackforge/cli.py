@@ -118,7 +118,7 @@ def build_tracker_config(overrides: dict, embedding_dim: int) -> TrackerConfig:
 def build_pipeline_config(overrides: dict) -> PipelineConfig:
     known = {
         "t_fixed_ms", "t_image_ms", "kappa_full", "kappa_mixed", "t_post_fixed_ms",
-        "t_post_per_detection_ms", "q1_capacity", "q2_capacity", "warmup_frames", "busy_wait",
+        "t_post_per_detection_ms", "q1_capacity", "q2_capacity", "warmup_frames",
     }
     unknown = set(overrides) - known
     if unknown:

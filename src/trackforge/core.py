@@ -6,8 +6,7 @@ space (cx, cy, aspect, h) is reached only through the explicit conversion
 functions below. Embeddings are plain float32 numpy arrays, normalized once
 at ingestion so distance computations never re-derive norms.
 
-``Detection`` is the public per-object type; on the per-frame hot path a
-frame's detections travel as one ``DetectionBatch`` of columns instead, so
+A frame's detections travel as one ``DetectionBatch`` of columns, so
 parsing, filtering, NMS and association never touch a Python object per row.
 """
 
@@ -63,16 +62,6 @@ class BoundingBox:
 
 
 @dataclass(frozen=True, eq=False)
-class Detection:
-    """One detector output: box, objectness and class scores, optional embedding."""
-
-    box: BoundingBox
-    objectness: float
-    class_score: float = 1.0
-    embedding: np.ndarray | None = None
-
-
-@dataclass(frozen=True, eq=False)
 class DetectionBatch:
     """One frame's detections as columns; row i of every array is detection i.
 
@@ -94,25 +83,6 @@ class DetectionBatch:
         embeddings = None if self.embeddings is None else self.embeddings[index]
         return DetectionBatch(
             self.boxes[index], self.objectness[index], self.class_score[index], embeddings
-        )
-
-    @classmethod
-    def of(cls, detections: DetectionBatch | list[Detection]) -> DetectionBatch:
-        """Stack Detection objects into columns; a batch is returned unchanged.
-
-        Every row's embedding is stacked, so all must be None or all share one
-        shape; anything else raises DimensionError.
-        """
-        if isinstance(detections, DetectionBatch):
-            return detections
-        shapes = {None if d.embedding is None else np.shape(d.embedding) for d in detections}
-        if len(shapes) > 1:
-            raise DimensionError(f"detections mix embedding shapes: {sorted(map(str, shapes))}")
-        return cls(
-            boxes=np.array([d.box.as_tlwh() for d in detections], dtype=np.float64).reshape(-1, 4),
-            objectness=np.array([d.objectness for d in detections], dtype=np.float64),
-            class_score=np.array([d.class_score for d in detections], dtype=np.float64),
-            embeddings=np.stack([d.embedding for d in detections]) if shapes - {None} else None,
         )
 
 
@@ -150,12 +120,10 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.minimum(inter / union, 1.0)
 
 
-def box_to_measurement(box: BoundingBox) -> np.ndarray:
-    """Convert a box to the Kalman measurement vector (cx, cy, aspect, h)."""
-    return np.array(
-        [box.x + box.w / 2.0, box.y + box.h / 2.0, box.w / box.h, box.h],
-        dtype=np.float64,
-    )
+def box_to_measurement(tlwh: np.ndarray) -> np.ndarray:
+    """Convert tlwh boxes ``(..., 4)`` to Kalman measurements (cx, cy, aspect, h)."""
+    x, y, w, h = np.moveaxis(np.asarray(tlwh, dtype=np.float64), -1, 0)
+    return np.stack([x + w / 2.0, y + h / 2.0, w / h, h], axis=-1)
 
 
 def measurement_to_box(measurement: np.ndarray) -> BoundingBox:

@@ -57,10 +57,6 @@ class NumericError(TrackforgeError):
     """Singular matrix or other numerical breakdown inside the filter."""
 
 
-class MeasurementError(TrackforgeError):
-    """Throughput measurement requested over an empty or zero-length window."""
-
-
 class UndefinedMetricError(TrackforgeError):
     """Metric requested over an empty ground-truth set."""
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from .core import normalize, quantize_binary16
 from .detgen import KAPPA_FULL, KAPPA_MIXED, LatencyModel, emulated_latency
-from .errors import ConfigError, MeasurementError, PipelineAborted
+from .errors import ConfigError, PipelineAborted
 from .postproc import parse_output
 from .tracker import Tracker, TrackerOutput
 
@@ -94,7 +94,6 @@ class PipelineConfig:
     q1_capacity: int = 32
     q2_capacity: int = 64
     warmup_frames: int = 10
-    busy_wait: bool = False
 
     def __post_init__(self) -> None:
         if self.q1_capacity < 1 or self.q2_capacity < 1:
@@ -211,17 +210,6 @@ def batcher(items: Iterable, batch_size: int) -> Iterator[list]:
         yield batch
 
 
-def measure_fps(capture_times: list[float], end_time: float, warmup: int = 10) -> float:
-    """Frames per second from the warmup-th frame's capture to the last output."""
-    if not capture_times:
-        raise MeasurementError("no frames were processed")
-    start_index = min(max(warmup, 0), len(capture_times) - 1)
-    elapsed = end_time - capture_times[start_index]
-    if elapsed <= 0:
-        raise MeasurementError(f"non-positive measurement window: {elapsed}")
-    return (len(capture_times) - start_index) / elapsed
-
-
 def predicted_fps(config: PipelineConfig, mode: PipelineMode, detections_per_frame: float) -> float:
     """Analytic throughput: bottleneck stage when parallel, stage sum otherwise."""
     latency = config.latency_for(mode.precision)
@@ -313,7 +301,7 @@ class _Runner:
         if seconds <= credit:
             self.credit[stage] = credit - max(seconds, 0.0)
         else:
-            self.credit[stage] = _delay(seconds - credit, self.config.busy_wait)
+            self.credit[stage] = _delay(seconds - credit)
 
     def run(self, cap: int) -> tuple[list[TrackerOutput], RunReport]:
         """Run the capture -> batch -> infer -> post chain, post on this thread.
@@ -376,7 +364,7 @@ class _Runner:
             start_index = min(self.config.warmup_frames, total - 1)
             frames = total - start_index
             seconds = self.output_times[-1] - opened[start_index]
-            fps = measure_fps(opened, self.output_times[-1], self.config.warmup_frames)
+            fps = frames / seconds
         return RunReport(
             execution=self.mode.execution.value,
             precision=self.mode.precision.value,
@@ -399,13 +387,9 @@ _SLEEP_GUARD_S = 0.002
 _SLEEP_STEP_S = 0.001
 
 
-def _delay(seconds: float, busy_wait: bool) -> float:
+def _delay(seconds: float) -> float:
     """Stall for ``seconds``; returns how far past the deadline it woke."""
     deadline = time.perf_counter() + seconds
-    if busy_wait:
-        while time.perf_counter() < deadline:
-            pass
-        return time.perf_counter() - deadline
     coarse = seconds - _SLEEP_GUARD_S
     if coarse > 0:
         time.sleep(coarse)

@@ -4,20 +4,20 @@ A raw output frame is a matrix with one row per detection: 4 box values
 (tlwh), objectness, class score, then the appearance embedding. It is parsed
 into one ``DetectionBatch`` of columns, validated and normalized row-wise in
 whole-array operations, so downstream distance math can assume unit vectors.
-``filter_confidence`` and ``nms`` compute on those columns: given a batch they
-return a batch, given a list of Detection objects they return the kept objects.
+``filter_confidence`` and ``nms`` take its score and box columns and return
+the ascending row indices they keep, so a caller copies the kept rows once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Detection, DetectionBatch, EMBEDDING_DIM, iou_matrix, normalize
+from .core import DetectionBatch, EMBEDDING_DIM, iou_matrix, normalize
 
 # Not called here. It stays in this namespace so that call counters wrapped
 # around trackforge.postproc.iou keep resolving; they now read 0.
 from .core import iou  # noqa: F401
-from .errors import ConfigError, InvalidBoxError, LayoutError
+from .errors import ConfigError, DimensionError, InvalidBoxError, LayoutError
 
 ROW_PREFIX = 6  # 4 box values + objectness + class score
 
@@ -47,11 +47,8 @@ def parse_output(raw: np.ndarray, embedding_dim: int = EMBEDDING_DIM) -> Detecti
     return DetectionBatch(boxes, raw[:, 4], raw[:, 5], embeddings)
 
 
-def serialize_detections(
-    detections: DetectionBatch | list[Detection], embedding_dim: int = EMBEDDING_DIM
-) -> np.ndarray:
+def serialize_detections(batch: DetectionBatch, embedding_dim: int = EMBEDDING_DIM) -> np.ndarray:
     """Inverse of :func:`parse_output` for already-normalized detections."""
-    batch = DetectionBatch.of(detections)
     rows = np.zeros((len(batch), ROW_PREFIX + embedding_dim), dtype=np.float64)
     rows[:, :4] = batch.boxes
     rows[:, 4] = batch.objectness
@@ -63,47 +60,35 @@ def serialize_detections(
     return rows
 
 
-def filter_confidence(
-    detections: DetectionBatch | list[Detection], threshold: float
-) -> DetectionBatch | list[Detection]:
-    """Keep detections with objectness >= threshold, preserving order."""
+def filter_confidence(scores: np.ndarray, threshold: float) -> np.ndarray:
+    """Ascending indices of the rows with score >= threshold."""
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError(f"confidence threshold must be in [0, 1], got {threshold}")
-    batch = DetectionBatch.of(detections)
-    return _kept(detections, np.flatnonzero(batch.objectness >= threshold))
+    return np.flatnonzero(np.asarray(scores) >= threshold)
 
 
-def nms(
-    detections: DetectionBatch | list[Detection], iou_threshold: float
-) -> DetectionBatch | list[Detection]:
-    """Greedy non-max suppression.
+def nms(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float) -> np.ndarray:
+    """Greedy non-max suppression over (N, 4) tlwh boxes; ascending kept indices.
 
-    Repeatedly keeps the highest-scoring remaining detection and discards all
-    others overlapping it with IoU strictly above the threshold. Score ties
-    break toward the lower original index, so output is deterministic. The
-    result is the surviving subset in original input order. All pairwise
-    overlaps come from one :func:`iou_matrix` call, which matches ``iou``
-    bit for bit.
+    Repeatedly keeps the highest-scoring remaining box and discards all others
+    overlapping it with IoU strictly above the threshold. Score ties break
+    toward the lower index, so output is deterministic. All pairwise overlaps
+    come from one :func:`iou_matrix` call, which matches ``iou`` bit for bit.
     """
     if not 0.0 < iou_threshold < 1.0:
         raise ConfigError(f"NMS IoU threshold must be in (0, 1), got {iou_threshold}")
-    batch = DetectionBatch.of(detections)
-    overlaps = iou_matrix(batch.boxes, batch.boxes) > iou_threshold
-    suppressed = np.zeros(len(batch), dtype=bool)
+    overlaps = iou_matrix(boxes, boxes) > iou_threshold
+    scores = np.asarray(scores)
+    if scores.shape != (len(overlaps),):
+        raise DimensionError(f"{len(overlaps)} boxes but scores of shape {scores.shape}")
+    suppressed = np.zeros(len(overlaps), dtype=bool)
     keep: list[int] = []
     # A stable sort on negated scores puts ties in ascending index order.
-    for i in np.argsort(-batch.objectness, kind="stable").tolist():
+    for i in np.argsort(-scores, kind="stable").tolist():
         if suppressed[i]:
             continue
         keep.append(i)
         # Row i also flags i itself and boxes earlier in the order, which are
         # already settled.
         suppressed |= overlaps[i]
-    return _kept(detections, sorted(keep))
-
-
-def _kept(detections: DetectionBatch | list[Detection], index) -> DetectionBatch | list[Detection]:
-    """The rows at ascending ``index``: a batch for a batch, a list for a list."""
-    if isinstance(detections, DetectionBatch):
-        return detections.take(index)
-    return [detections[i] for i in index]
+    return np.array(sorted(keep), dtype=np.intp)

@@ -14,10 +14,11 @@ dropped together with their tracks, and births are appended in both places.
 So predict, gating, update and embedding smoothing each run once per frame
 over all tracks (or all matched ones), never once per track.
 
-The frame's detections arrive as one ``DetectionBatch`` (a list of Detection
-objects is stacked into one at the door), and the tracker works on its
-columns: the embedding check, the measurement conversion, the cost matrix,
-smoothing and births each take whole arrays, once per frame.
+The frame's detections arrive as one ``DetectionBatch``, and the tracker
+works on its columns: the confidence filter and NMS return row indices, the
+kept rows are copied once, and the embedding check, the measurement
+conversion, the cost matrix, smoothing and births each take whole arrays,
+once per frame.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .assoc import apply_gate, build_cost_matrix, hungarian_solve, match_with_threshold
-from .core import BoundingBox, Detection, DetectionBatch, measurement_to_box, normalize
+from .core import BoundingBox, DetectionBatch, box_to_measurement, measurement_to_box, normalize
 from .errors import ConfigError, DimensionError, OrderingError
 from .motion import CHI2_GATE_95_4DOF, KalmanFilter, KalmanState, MotionNoise
 from .postproc import filter_confidence, nms
@@ -99,9 +100,7 @@ class Tracker:
         self._next_id = 1
         self._last_frame: int | None = None
 
-    def step(
-        self, frame_index: int, detections: DetectionBatch | list[Detection]
-    ) -> TrackerOutput:
+    def step(self, frame_index: int, batch: DetectionBatch) -> TrackerOutput:
         """Track one frame. Every row must carry an ``embedding_dim`` embedding,
         whether or not it survives the confidence filter and NMS."""
         cfg = self.config
@@ -111,19 +110,18 @@ class Tracker:
             )
         self._last_frame = frame_index
 
-        batch = DetectionBatch.of(detections)
         shape = None if batch.embeddings is None else batch.embeddings.shape[1:]
         if len(batch) and shape != (cfg.embedding_dim,):
             raise DimensionError(
                 f"tracking requires {cfg.embedding_dim}-dim detection embeddings, got {shape}"
             )
-        dets = nms(filter_confidence(batch, cfg.conf_threshold), cfg.nms_iou)
+        keep = filter_confidence(batch.objectness, cfg.conf_threshold)
+        keep = keep[nms(batch.boxes[keep], batch.objectness[keep], cfg.nms_iou)]
+        dets = batch.take(keep)
 
         self.kalman = self._filter.predict(self.kalman)
 
-        # box_to_measurement, column-wise: (cx, cy, aspect, h).
-        x, y, w, h = dets.boxes.T
-        measurements = np.stack([x + w / 2.0, y + h / 2.0, w / h, h], axis=1)
+        measurements = box_to_measurement(dets.boxes)
         det_embeddings = dets.embeddings if len(dets) else np.zeros((0, cfg.embedding_dim))
         cost = build_cost_matrix(self.embeddings, det_embeddings)
         if self.tracks and len(dets):

@@ -22,9 +22,9 @@ from trackforge.pipeline import (
     run,
 )
 from trackforge.assoc import hungarian_solve
-from trackforge.core import BoundingBox, Detection, normalize
+from trackforge.core import BoundingBox, normalize
 from trackforge.motion import KalmanFilter
-from trackforge.postproc import nms
+from trackforge.postproc import nms, parse_output
 from trackforge.tracker import Tracker, TrackerConfig, TrackState
 
 from oracles import KalmanOracle, assignment_brute_force, nms_reference_indices
@@ -215,24 +215,14 @@ def test_criterion_07_nms_oracle_equivalence():
     rng = np.random.default_rng(27)
     for _ in range(500):
         count = int(rng.integers(1, 41))
-        detections = []
-        for _ in range(count):
+        boxes, scores = np.zeros((count, 4)), np.zeros(count)
+        for i in range(count):
             w, h = rng.uniform(5, 40, 2)
-            detections.append(
-                Detection(
-                    box=BoundingBox(float(rng.uniform(0, 120)), float(rng.uniform(0, 120)),
-                                    float(w), float(h)),
-                    objectness=float(rng.integers(1, 11)) / 10.0,  # coarse scores force ties
-                    embedding=None,
-                )
-            )
+            boxes[i] = (rng.uniform(0, 120), rng.uniform(0, 120), w, h)
+            scores[i] = float(rng.integers(1, 11)) / 10.0  # coarse scores force ties
         threshold = float(rng.uniform(0.2, 0.7))
-        expected = nms_reference_indices(
-            [d.box.as_tlwh() for d in detections],
-            [d.objectness for d in detections],
-            threshold,
-        )
-        assert nms(detections, threshold) == [detections[i] for i in expected]
+        expected = nms_reference_indices(boxes.tolist(), scores.tolist(), threshold)
+        assert nms(boxes, scores, threshold).tolist() == expected
     report_pass(7, "500 random box sets match the O(n^2) greedy reference exactly, "
                    "including score ties")
 
@@ -295,16 +285,13 @@ def test_criterion_10_lifecycle_conformance():
     lost_log: dict[int, int] = {}
     for frame in range(80):
         count = int(rng.integers(0, 5))
-        detections = [
-            Detection(
-                box=BoundingBox(float(rng.uniform(0, 2000)), float(rng.uniform(0, 2000)),
-                                20.0, 30.0),
-                objectness=0.9,
-                embedding=normalize(rng.standard_normal(dim)),
-            )
+        rows = [
+            [rng.uniform(0, 2000), rng.uniform(0, 2000), 20.0, 30.0, 0.9, 1.0,
+             *normalize(rng.standard_normal(dim))]
             for _ in range(count)
         ]
-        usable = len(nms(detections, tracker.config.nms_iou))
+        detections = parse_output(np.reshape(rows, (-1, 6 + dim)), dim)
+        usable = len(nms(detections.boxes, detections.objectness, tracker.config.nms_iou))
         out = tracker.step(frame, detections)
         out_ids = {r[0] for r in out.records}
 
@@ -334,14 +321,15 @@ def test_criterion_10_lifecycle_conformance():
     # Directed check: a track unmatched for exactly max_lost+1 frames is removed.
     tracker = Tracker(TrackerConfig(embedding_dim=dim, max_lost=max_lost))
     emb = normalize(np.ones(dim))
-    det = Detection(box=BoundingBox(0, 0, 20, 30), objectness=0.9, embedding=emb)
-    tracker.step(0, [det])
+    det = parse_output(np.concatenate([[0.0, 0.0, 20.0, 30.0, 0.9, 1.0], emb])[None], dim)
+    empty = parse_output(np.zeros((0, 6 + dim)), dim)
+    tracker.step(0, det)
     for frame in range(1, max_lost + 1):
-        tracker.step(frame, [])
+        tracker.step(frame, empty)
         assert tracker.tracks and tracker.tracks[0].state is TrackState.LOST
-    tracker.step(max_lost + 1, [])
+    tracker.step(max_lost + 1, empty)
     assert tracker.tracks == []
     assert tracker.removed_ids == {1}
-    assert [r[0] for r in tracker.step(max_lost + 2, [det]).records] == [2]
+    assert [r[0] for r in tracker.step(max_lost + 2, det).records] == [2]
     report_pass(10, "lifecycle invariants hold: same-frame Lost transitions, removal "
                     f"after {max_lost}+1 unmatched frames, fresh ids, no id reuse")

@@ -321,6 +321,17 @@ class TestConfigFile:
         ])
         assert result.exit_code == 2
 
+    def test_removed_busy_wait_key_exits_two(self, runner, tmp_path):
+        runner.invoke(main, synth_args(tmp_path, frames=5))
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"pipeline": {"busy_wait": false}}')
+        result = runner.invoke(main, [
+            "track", "--scenario", str(tmp_path / "scen.json"),
+            "--config", str(bad), "--out", str(tmp_path / "res.txt"),
+        ])
+        assert result.exit_code == 2
+        assert "busy_wait" in result.output
+
     def test_tracker_override_applies(self, runner, tmp_path):
         runner.invoke(main, synth_args(tmp_path, frames=5))
         cfg = dict(FAST_CONFIG)

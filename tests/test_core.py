@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from trackforge.core import (
     BoundingBox,
-    Detection,
     DetectionBatch,
     box_to_measurement,
     cosine_distance,
@@ -71,19 +70,28 @@ class TestIou:
 class TestMeasurementConversion:
     def test_unit_aspect(self):
         np.testing.assert_allclose(
-            box_to_measurement(BoundingBox(0, 0, 2, 2)), [1, 1, 1, 2]
+            box_to_measurement(BoundingBox(0, 0, 2, 2).as_tlwh()), [1, 1, 1, 2]
         )
 
     def test_hand_case(self):
         np.testing.assert_allclose(
-            box_to_measurement(BoundingBox(10, 20, 4, 8)), [12, 24, 0.5, 8]
+            box_to_measurement(BoundingBox(10, 20, 4, 8).as_tlwh()), [12, 24, 0.5, 8]
         )
 
     @given(boxes)
     def test_round_trip(self, box):
-        back = measurement_to_box(box_to_measurement(box))
+        back = measurement_to_box(box_to_measurement(box.as_tlwh()))
         for a, b in zip(back.as_tlwh(), box.as_tlwh()):
             assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+
+    @given(st.lists(boxes, min_size=1, max_size=8))
+    def test_stacked_boxes_match_one_at_a_time(self, stack):
+        tlwh = np.array([box.as_tlwh() for box in stack])
+        measured = box_to_measurement(tlwh)
+        assert measured.shape == (len(stack), 4)
+        for row, box in zip(measured, stack):
+            np.testing.assert_array_equal(row, box_to_measurement(box.as_tlwh()))
+        np.testing.assert_array_equal(box_to_measurement(tlwh[None]), measured[None])
 
     def test_bad_measurement_rejected(self):
         with pytest.raises(InvalidBoxError):
@@ -198,38 +206,14 @@ class TestQuantizeBinary16:
 
 
 class TestDetectionBatch:
-    def _detections(self, embeddings):
-        return [
-            Detection(BoundingBox(i, 2.0 * i, 3.0, 4.0 + i), 0.1 * i, 0.5, embedding)
-            for i, embedding in enumerate(embeddings)
-        ]
-
-    def test_of_stacks_columns_and_keeps_a_batch(self):
-        dets = self._detections([_unit([1, i, 0]) for i in range(4)])
-        batch = DetectionBatch.of(dets)
-        assert len(batch) == 4
-        np.testing.assert_array_equal(batch.boxes[2], [2.0, 4.0, 3.0, 6.0])
-        np.testing.assert_array_equal(batch.objectness, [d.objectness for d in dets])
-        np.testing.assert_array_equal(batch.class_score, [0.5] * 4)
-        np.testing.assert_array_equal(batch.embeddings, np.stack([d.embedding for d in dets]))
-        assert batch.embeddings.dtype == np.float32
-        assert DetectionBatch.of(batch) is batch
-
-    def test_of_empty_and_without_embeddings(self):
-        empty = DetectionBatch.of([])
-        assert len(empty) == 0 and empty.boxes.shape == (0, 4) and empty.embeddings is None
-        assert DetectionBatch.of(self._detections([None, None])).embeddings is None
-
-    @pytest.mark.parametrize(
-        "embeddings",
-        [[np.ones(3, np.float32), None], [np.ones(3, np.float32), np.ones(4, np.float32)]],
-    )
-    def test_of_rejects_mixed_embeddings(self, embeddings):
-        with pytest.raises(DimensionError):
-            DetectionBatch.of(self._detections(embeddings))
-
     def test_take_indices_and_mask(self):
-        batch = DetectionBatch.of(self._detections([_unit([1, i, 0]) for i in range(5)]))
+        i = np.arange(5.0)
+        batch = DetectionBatch(
+            boxes=np.stack([i, 2.0 * i, np.full(5, 3.0), 4.0 + i], axis=1),
+            objectness=0.1 * i,
+            class_score=np.full(5, 0.5),
+            embeddings=np.stack([_unit([1, k, 0]) for k in range(5)]),
+        )
         picked = batch.take([3, 1])
         np.testing.assert_array_equal(picked.objectness, batch.objectness[[3, 1]])
         np.testing.assert_array_equal(picked.embeddings, batch.embeddings[[3, 1]])

@@ -1,11 +1,12 @@
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from trackforge.detgen import NoiseParams, make_scenario, scenario_frames
 from trackforge import pipeline
-from trackforge.errors import ConfigError, MeasurementError, OrderingError
+from trackforge.errors import ConfigError, OrderingError
 from trackforge.pipeline import (
     ExecutionMode,
     PipelineConfig,
@@ -14,10 +15,10 @@ from trackforge.pipeline import (
     RunReport,
     StageQueue,
     batcher,
-    measure_fps,
     predicted_fps,
     run,
 )
+from trackforge.postproc import parse_output
 from trackforge.tracker import Tracker, TrackerConfig
 
 DIM = 16
@@ -208,7 +209,8 @@ class TestErrorPropagation:
     def test_tracker_failure_propagates_in_parallel(self):
         scenario = fast_scenario(objects=2, frames=10)
         tracker = Tracker(TrackerConfig(embedding_dim=DIM))
-        tracker.step(50, [])  # poisons ordering: pipeline frames restart at 0
+        # Poisons ordering: pipeline frames restart at 0.
+        tracker.step(50, parse_output(np.zeros((0, 6 + DIM)), DIM))
         with pytest.raises(OrderingError):
             run(
                 scenario_frames(scenario, 1),
@@ -271,25 +273,6 @@ class TestErrorPropagation:
             run(scenario_frames(scenario, 1), FailingTracker(TrackerConfig(embedding_dim=DIM)),
                 PipelineMode(ExecutionMode.PARALLEL, Precision.FULL, 2), config)
         assert threading.active_count() == before
-
-
-class TestMeasureFps:
-    def test_simple_arithmetic(self):
-        capture = [float(i) for i in range(310)]
-        # 300 measured frames over 10 seconds after excluding 10 warm-up frames
-        assert measure_fps(capture, end_time=capture[10] + 10.0, warmup=10) == pytest.approx(30.0)
-
-    def test_window_starts_at_warmup_frame_capture(self):
-        capture = [0.0, 1.0, 2.0, 3.0]
-        value = measure_fps(capture, end_time=5.0, warmup=2)
-        assert value == pytest.approx(2 / 3.0)
-
-    def test_zero_frames_rejected(self):
-        with pytest.raises(MeasurementError):
-            measure_fps([], end_time=1.0)
-
-    def test_warmup_larger_than_stream_clamps(self):
-        assert measure_fps([0.0, 1.0], end_time=2.0, warmup=10) == pytest.approx(1.0)
 
 
 class TestPredictedFps:
@@ -378,6 +361,24 @@ class TestRunReport:
         assert float(fields[5]) == pytest.approx(report.fps, abs=1e-4)
         assert report.fps == pytest.approx(report.frames / report.seconds, rel=1e-9)
 
+    def test_warmup_larger_than_stream_clamps(self):
+        # Fewer frames than warm-up frames: the window holds the last frame only.
+        config = PipelineConfig(
+            t_fixed_ms=0.2, t_image_ms=0.4, t_post_fixed_ms=0.1,
+            t_post_per_detection_ms=0.01, warmup_frames=50,
+        )
+        scenario = fast_scenario(objects=2, frames=5)
+        _, report = run_mode(scenario, ExecutionMode.SERIAL, config=config)
+        assert (report.frames_total, report.frames) == (5, 1)
+        assert report.seconds > 0
+        assert report.fps == 1 / report.seconds
+
+    def test_empty_source_reports_an_empty_window(self):
+        tracker = Tracker(TrackerConfig(embedding_dim=DIM))
+        outputs, report = run([], tracker, PipelineMode(), FAST)
+        assert outputs == []
+        assert (report.frames_total, report.frames, report.seconds, report.fps) == (0, 0, 0.0, 0.0)
+
     def test_stage_busy_times_recorded(self):
         scenario = fast_scenario(objects=3, frames=20)
         _, report = run_mode(scenario, ExecutionMode.SERIAL)
@@ -450,15 +451,3 @@ class TestStallCredit:
         runner._stall("post", -0.003)
         assert runner.credit["post"] == 0.001
         assert clock.now == 0.0
-
-
-class TestBusyWait:
-    def test_busy_wait_mode_runs(self):
-        scenario = fast_scenario(objects=2, frames=10)
-        config = PipelineConfig(
-            t_fixed_ms=0.2, t_image_ms=0.3, t_post_fixed_ms=0.1,
-            t_post_per_detection_ms=0.01, warmup_frames=2, busy_wait=True,
-        )
-        outputs, _ = run_mode(scenario, ExecutionMode.PARALLEL, batch=2, config=config)
-        reference, _ = run_mode(scenario, ExecutionMode.SERIAL, config=FAST)
-        assert outputs == reference

@@ -5,19 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trackforge.core import (
-    BoundingBox,
-    Detection,
-    DetectionBatch,
-    iou,
-    iou_matrix,
-    normalize,
-    quantize_binary16,
-)
+from trackforge.core import BoundingBox, iou, iou_matrix, normalize, quantize_binary16
 from trackforge.detgen import NoiseParams, generate_frame, make_scenario
 from trackforge.errors import (
     ConfigError,
     DegenerateEmbeddingError,
+    DimensionError,
     InvalidBoxError,
     LayoutError,
     TrackforgeError,
@@ -75,22 +68,17 @@ class TestParseOutput:
 
     def test_serialize_round_trip(self):
         rng = np.random.default_rng(3)
-        dets = [
-            Detection(
-                box=BoundingBox(*rng.uniform(1, 50, 4)),
-                objectness=float(rng.uniform(0, 1)),
-                class_score=float(rng.uniform(0, 1)),
-                embedding=normalize(rng.standard_normal(8)),
-            )
-            for _ in range(5)
-        ]
+        raw = np.hstack([
+            rng.uniform(1, 50, (5, 4)), rng.uniform(0, 1, (5, 2)), rng.standard_normal((5, 8))
+        ])
+        dets = parse_output(raw, 8)
         again = parse_output(serialize_detections(dets, 8), 8)
         assert len(again) == len(dets)
-        for i, a in enumerate(dets):
-            assert a.box == BoundingBox(*again.boxes[i])
-            assert a.objectness == again.objectness[i]
-            assert a.class_score == again.class_score[i]
-            np.testing.assert_array_equal(a.embedding, again.embeddings[i])
+        for i in range(len(dets)):
+            assert BoundingBox(*dets.boxes[i]) == BoundingBox(*again.boxes[i])
+            assert dets.objectness[i] == again.objectness[i]
+            assert dets.class_score[i] == again.class_score[i]
+            np.testing.assert_array_equal(dets.embeddings[i], again.embeddings[i])
         np.testing.assert_array_equal(serialize_detections(again, 8), serialize_detections(dets, 8))
 
 
@@ -136,40 +124,24 @@ class TestColumnarParse:
 
     def test_no_per_row_objects_on_a_valid_frame(self, monkeypatch):
         made = []
-        for cls in (BoundingBox, Detection):
-            def counting(self, *args, _init=cls.__init__, **kwargs):
-                made.append(type(self).__name__)
-                _init(self, *args, **kwargs)
 
-            monkeypatch.setattr(cls, "__init__", counting)
+        def counting(self, *args, _init=BoundingBox.__init__, **kwargs):
+            made.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BoundingBox, "__init__", counting)
         rng = np.random.default_rng(21)
         raw = np.stack([
             make_row(*rng.uniform(0, 300, 2), *rng.uniform(5, 40, 2), rng.uniform(), 1.0)
             for _ in range(200)
         ])
-        kept = nms(filter_confidence(parse_output(raw, embedding_dim=8), 0.5), 0.4)
+        batch = parse_output(raw, embedding_dim=8)
+        keep = filter_confidence(batch.objectness, 0.5)
+        kept = keep[nms(batch.boxes[keep], batch.objectness[keep], 0.4)]
         assert made == []
         assert 0 < len(kept) < 200
         BoundingBox(0.0, 0.0, 1.0, 1.0)  # the counter itself works
         assert made == ["BoundingBox"]
-
-    def test_batch_and_list_paths_keep_the_same_rows(self):
-        rng = np.random.default_rng(22)
-        for _ in range(20):
-            dets = [
-                Detection(d.box, round(d.objectness, 1), embedding=normalize(rng.standard_normal(4)))
-                for d in random_detections(rng, 40, canvas=60.0)
-            ]
-            batch = DetectionBatch.of(dets)
-            for listed, columns in (
-                (filter_confidence(dets, 0.5), filter_confidence(batch, 0.5)),
-                (nms(dets, 0.3), nms(batch, 0.3)),
-            ):
-                assert isinstance(columns, DetectionBatch)
-                np.testing.assert_array_equal(columns.boxes, DetectionBatch.of(listed).boxes)
-                np.testing.assert_array_equal(
-                    columns.embeddings, DetectionBatch.of(listed).embeddings
-                )
 
     def test_frame_quantization_matches_per_row(self):
         # Row-wise normalize and binary16 on the whole matrix give the same bits
@@ -189,148 +161,155 @@ class TestColumnarParse:
             )
 
 
-def _det(score, box=None, index=0):
-    return Detection(
-        box=box or BoundingBox(10.0 * index, 0.0, 5.0, 5.0),
-        objectness=score,
-        embedding=None,
-    )
-
-
 class TestFilterConfidence:
     def test_keeps_above_threshold(self):
-        dets = [_det(0.4, index=0), _det(0.6, index=1)]
-        assert filter_confidence(dets, 0.5) == [dets[1]]
+        assert filter_confidence(np.array([0.4, 0.6]), 0.5).tolist() == [1]
 
     def test_zero_threshold_is_identity(self):
-        dets = [_det(0.1, index=i) for i in range(4)]
-        assert filter_confidence(dets, 0.0) == dets
+        assert filter_confidence(np.full(4, 0.1), 0.0).tolist() == [0, 1, 2, 3]
 
     def test_boundary_one(self):
-        dets = [_det(1.0, index=0), _det(0.999, index=1)]
-        assert filter_confidence(dets, 1.0) == [dets[0]]
+        assert filter_confidence(np.array([1.0, 0.999]), 1.0).tolist() == [0]
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(4)
-        dets = [_det(float(rng.uniform(0, 1)), index=i) for i in range(20)]
-        previous = len(dets)
+        scores = rng.uniform(0, 1, 20)
+        previous = len(scores)
         for threshold in np.linspace(0, 1, 11):
-            kept = len(filter_confidence(dets, float(threshold)))
+            kept = len(filter_confidence(scores, float(threshold)))
             assert kept <= previous
             previous = kept
 
     def test_invalid_threshold(self):
         with pytest.raises(ConfigError):
-            filter_confidence([], 1.5)
+            filter_confidence(np.zeros(0), 1.5)
 
 
 def random_detections(rng, count, canvas=100.0):
-    dets = []
-    for _ in range(count):
+    """A frame of ``count`` random boxes and scores, without embeddings."""
+    raw = np.zeros((count, 6))
+    for row in raw:
         w, h = rng.uniform(5, 30, 2)
-        box = BoundingBox(rng.uniform(0, canvas), rng.uniform(0, canvas), w, h)
-        dets.append(Detection(box=box, objectness=float(rng.uniform(0, 1)), embedding=None))
-    return dets
+        row[:6] = (rng.uniform(0, canvas), rng.uniform(0, canvas), w, h, rng.uniform(0, 1), 1.0)
+    return parse_output(raw, embedding_dim=0)
+
+
+def _boxes(*tlwh):
+    return np.array(tlwh, dtype=np.float64).reshape(-1, 4)
+
+
+SQUARE = (0.0, 0.0, 10.0, 10.0)
 
 
 class TestNms:
     def test_single_detection(self):
-        dets = [_det(0.5)]
-        assert nms(dets, 0.4) == dets
+        assert nms(_boxes((0.0, 0.0, 5.0, 5.0)), np.array([0.5]), 0.4).tolist() == [0]
 
     def test_identical_boxes_keep_higher_score(self):
-        box = BoundingBox(0, 0, 10, 10)
-        low, high = _det(0.8, box), _det(0.9, box)
-        assert nms([low, high], 0.4) == [high]
+        assert nms(_boxes(SQUARE, SQUARE), np.array([0.8, 0.9]), 0.4).tolist() == [1]
 
     def test_equal_scores_keep_lower_index(self):
-        box = BoundingBox(0, 0, 10, 10)
-        first, second = _det(0.9, box), _det(0.9, box)
-        assert nms([first, second], 0.4) == [first]
+        assert nms(_boxes(SQUARE, SQUARE), np.array([0.9, 0.9]), 0.4).tolist() == [0]
 
     def test_survivor_pairs_below_threshold(self):
         rng = np.random.default_rng(6)
-        survivors = nms(random_detections(rng, 40), 0.3)
+        dets = random_detections(rng, 40)
+        survivors = [BoundingBox(*dets.boxes[i]) for i in nms(dets.boxes, dets.objectness, 0.3)]
         for i, a in enumerate(survivors):
             for b in survivors[i + 1 :]:
-                assert iou(a.box, b.box) <= 0.3
+                assert iou(a, b) <= 0.3
 
     def test_idempotent(self):
         rng = np.random.default_rng(7)
         dets = random_detections(rng, 40)
-        once = nms(dets, 0.4)
-        assert nms(once, 0.4) == once
+        once = nms(dets.boxes, dets.objectness, 0.4)
+        again = nms(dets.boxes[once], dets.objectness[once], 0.4)
+        assert once[again].tolist() == once.tolist()
 
     def test_matches_reference_on_random_sets(self):
         rng = np.random.default_rng(8)
         for _ in range(25):
             dets = random_detections(rng, 50)
-            # quantized scores provoke ties
-            dets = [
-                Detection(box=d.box, objectness=round(d.objectness, 1), embedding=None)
-                for d in dets
-            ]
-            expected = nms_reference_indices(
-                [d.box.as_tlwh() for d in dets], [d.objectness for d in dets], 0.4
-            )
-            assert nms(dets, 0.4) == [dets[i] for i in expected]
+            scores = np.round(dets.objectness, 1)  # quantized scores provoke ties
+            expected = nms_reference_indices(dets.boxes.tolist(), scores.tolist(), 0.4)
+            assert nms(dets.boxes, scores, 0.4).tolist() == expected
+
+    def test_scores_must_match_boxes(self):
+        with pytest.raises(DimensionError):
+            nms(_boxes(SQUARE, SQUARE), np.array([0.9]), 0.4)
+        with pytest.raises(DimensionError):
+            nms(_boxes(SQUARE), np.array([[0.9]]), 0.4)
 
     def test_invalid_threshold(self):
         with pytest.raises(ConfigError):
-            nms([], 0.0)
+            nms(_boxes(), np.zeros(0), 0.0)
         with pytest.raises(ConfigError):
-            nms([], 1.0)
+            nms(_boxes(), np.zeros(0), 1.0)
 
 
-def _oracle_kept(dets, threshold):
-    expected = nms_reference_indices(
-        [d.box.as_tlwh() for d in dets], [d.objectness for d in dets], threshold
+class TestIndexContract:
+    @pytest.mark.parametrize("count", [0, 1, 2, 30])
+    def test_ascending_integer_indices(self, count):
+        dets = random_detections(np.random.default_rng(13 + count), count, canvas=40.0)
+        for keep in (
+            filter_confidence(dets.objectness, 0.5),
+            filter_confidence(dets.objectness, 0.0),
+            nms(dets.boxes, dets.objectness, 0.3),
+        ):
+            assert isinstance(keep, np.ndarray)
+            assert keep.ndim == 1 and keep.dtype.kind == "i"
+            assert np.all(np.diff(keep) > 0)
+            assert np.all((0 <= keep) & (keep < max(count, 1)))
+        assert filter_confidence(dets.objectness, 0.0).tolist() == list(range(count))
+        if count <= 1:
+            assert nms(dets.boxes, dets.objectness, 0.3).tolist() == list(range(count))
+
+
+def _oracle_kept(boxes, scores, threshold):
+    return nms_reference_indices(np.asarray(boxes).tolist(), list(scores), threshold)
+
+
+def _both(boxes, scores, threshold):
+    """NMS and the reference on the same boxes, as two lists of kept indices."""
+    return nms(boxes, np.asarray(scores), threshold).tolist(), _oracle_kept(
+        boxes, scores, threshold
     )
-    return [dets[i] for i in expected]
 
 
 class TestNmsEdgeCasesAgainstOracle:
     def test_empty_and_single(self):
-        assert nms([], 0.4) == _oracle_kept([], 0.4) == []
-        one = [_det(0.3)]
-        assert nms(one, 0.4) == _oracle_kept(one, 0.4) == one
+        assert _both(_boxes(), [], 0.4) == ([], [])
+        assert _both(_boxes((0.0, 0.0, 5.0, 5.0)), [0.3], 0.4) == ([0], [0])
 
     def test_equal_scores(self):
         rng = np.random.default_rng(11)
-        dets = [
-            Detection(box=d.box, objectness=0.7, embedding=None)
-            for d in random_detections(rng, 30, canvas=40.0)
-        ]
-        assert nms(dets, 0.3) == _oracle_kept(dets, 0.3)
+        dets = random_detections(rng, 30, canvas=40.0)
+        ours, reference = _both(dets.boxes, [0.7] * len(dets), 0.3)
+        assert ours == reference
 
     def test_identical_boxes(self):
-        box = BoundingBox(3.0, 4.0, 10.0, 12.0)
-        dets = [_det(score, box) for score in (0.5, 0.9, 0.9, 0.2)]
-        assert nms(dets, 0.4) == _oracle_kept(dets, 0.4) == [dets[1]]
+        box = (3.0, 4.0, 10.0, 12.0)
+        assert _both(_boxes(box, box, box, box), [0.5, 0.9, 0.9, 0.2], 0.4) == ([1], [1])
 
     def test_iou_exactly_at_threshold_is_kept(self):
         # Overlap 5 x 10 = 50 over union 100 + 100 - 50 = 150: IoU is 1/3 exactly
         # as computed, and only overlaps strictly above the threshold suppress.
-        a = _det(0.9, BoundingBox(0.0, 0.0, 10.0, 10.0))
-        b = _det(0.8, BoundingBox(5.0, 0.0, 10.0, 10.0))
+        a, b = SQUARE, (5.0, 0.0, 10.0, 10.0)
         threshold = 50.0 / 150.0
-        assert iou(a.box, b.box) == threshold
-        assert nms([a, b], threshold) == _oracle_kept([a, b], threshold) == [a, b]
+        assert iou(BoundingBox(*a), BoundingBox(*b)) == threshold
+        assert _both(_boxes(a, b), [0.9, 0.8], threshold) == ([0, 1], [0, 1])
 
     def test_touching_boxes_have_zero_overlap(self):
-        left = _det(0.9, BoundingBox(0.0, 0.0, 10.0, 10.0))
-        right = _det(0.8, BoundingBox(10.0, 0.0, 10.0, 10.0))
-        below = _det(0.7, BoundingBox(0.0, 10.0, 10.0, 10.0))
-        dets = [left, right, below]
-        boxes = np.array([d.box.as_tlwh() for d in dets])
+        left, right, below = SQUARE, (10.0, 0.0, 10.0, 10.0), (0.0, 10.0, 10.0, 10.0)
+        boxes = _boxes(left, right, below)
         matrix = iou_matrix(boxes, boxes)
-        assert matrix[0, 1] == matrix[0, 2] == iou(left.box, right.box) == 0.0
-        assert nms(dets, 0.01) == _oracle_kept(dets, 0.01) == dets
+        assert matrix[0, 1] == matrix[0, 2] == iou(BoundingBox(*left), BoundingBox(*right)) == 0.0
+        assert _both(boxes, [0.9, 0.8, 0.7], 0.01) == ([0, 1, 2], [0, 1, 2])
 
     def test_iou_matrix_equals_pairwise_iou_bit_for_bit(self):
         rng = np.random.default_rng(12)
-        dets = random_detections(rng, 40, canvas=50.0)
-        boxes = np.array([d.box.as_tlwh() for d in dets])
+        boxes = random_detections(rng, 40, canvas=50.0).boxes
         matrix = iou_matrix(boxes, boxes)
-        expected = np.array([[iou(a.box, b.box) for b in dets] for a in dets])
+        objects = [BoundingBox(*box) for box in boxes]
+        expected = np.array([[iou(a, b) for b in objects] for a in objects])
         np.testing.assert_array_equal(matrix, expected)
