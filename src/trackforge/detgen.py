@@ -5,6 +5,14 @@ raw output matrices together with exact ground truth, and a loader for
 MOT-format detection files with a binary embedding sidecar. Both produce the
 same raw row layout that :func:`trackforge.postproc.parse_output` consumes.
 
+The file loaders build one array per frame, not one per record. The MOT
+loader parses line by line, so each error names its line, and stacks each
+frame's rows once. The sidecar is read as one structured record array (the
+dtype the writer uses too); repeated, missing and extra keys are found on
+packed ``frame << 32 | det_index`` integers, and each frame's vectors are
+normalized in one ``normalize`` call from their run of key-sorted records,
+so every row equals ``normalize`` of its vector alone bit for bit.
+
 Inference cost is emulated, not computed: :class:`LatencyModel` prices a
 batch as ``t_fixed + batch_size * t_image * kappa`` milliseconds, where
 ``kappa`` scales the per-image term for reduced-precision execution. The
@@ -25,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BoundingBox, cosine_distance, normalize
+from .core import MIN_EMBEDDING_NORM, BoundingBox, cosine_distance, normalize, row_norms
 from .errors import ConfigError, ConsistencyError, DimensionError, InvalidBoxError, ParseError
 
 KAPPA_FULL = 1.0
@@ -372,7 +380,8 @@ def load_mot_detections(path: str | Path) -> dict[int, np.ndarray]:
     id field is ignored and extra trailing fields are allowed. Box and
     confidence fields must be finite; confidence is clamped into [0, 1].
     """
-    per_frame: dict[int, list[np.ndarray]] = {}
+    per_frame: dict[int, list[tuple[float, ...]]] = {}
+    isfinite = math.isfinite
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -383,42 +392,71 @@ def load_mot_detections(path: str | Path) -> dict[int, np.ndarray]:
                 raise ParseError(f"line {lineno}: expected at least 7 fields, got {len(parts)}")
             try:
                 frame = int(float(parts[0]))
-                x, y, w, h = (float(v) for v in parts[2:6])
-                conf = float(parts[6])
+                x, y, w, h, conf = map(float, parts[2:7])
             except (ValueError, OverflowError) as exc:  # int(inf) overflows
                 raise ParseError(f"line {lineno}: non-numeric field ({exc})") from exc
             if frame < 1:
                 raise ParseError(f"line {lineno}: frame index must be >= 1, got {frame}")
-            if not all(math.isfinite(v) for v in (x, y, w, h, conf)):
+            if not (isfinite(x) and isfinite(y) and isfinite(w) and isfinite(h) and isfinite(conf)):
                 raise ParseError(f"line {lineno}: non-finite box or confidence field")
             if w <= 0 or h <= 0:
                 raise InvalidBoxError(f"line {lineno}: non-positive box size w={w}, h={h}")
             conf = min(max(conf, 0.0), 1.0)
-            per_frame.setdefault(frame - 1, []).append(
-                np.array([x, y, w, h, conf, 1.0], dtype=np.float64)
-            )
-    return {frame: np.stack(rows) for frame, rows in per_frame.items()}
+            per_frame.setdefault(frame - 1, []).append((x, y, w, h, conf, 1.0))
+    return {frame: np.array(rows, dtype=np.float64) for frame, rows in per_frame.items()}
 
 
 SIDECAR_MAGIC = b"EMB1"
+_HEADER_SIZE = 8  # magic, then the u32 embedding dimension
+_U32_MAX = 2**32 - 1
+_CHECK_ROWS = 256
+
+
+def _sidecar_record(dim: int) -> np.dtype:
+    """One sidecar record: u32 frame, u32 detection index, ``dim`` float32s."""
+    return np.dtype([("frame", "<u4"), ("det", "<u4"), ("vec", "<f4", (dim,))])
 
 
 def write_embedding_sidecar(
     path: str | Path, records: dict[tuple[int, int], np.ndarray], dim: int
 ) -> None:
-    """Write the binary sidecar: magic, u32 dim, then (frame, det_index, floats) records."""
+    """Write the binary sidecar: magic, u32 dim, then the records in key order."""
     keys = sorted(records)
+    body = np.empty(len(keys), dtype=_sidecar_record(dim))
+    for i, (frame, det_index) in enumerate(keys):
+        vector = np.asarray(records[(frame, det_index)], dtype=np.float32)
+        if vector.shape != (dim,):
+            raise DimensionError(
+                f"record ({frame}, {det_index}) has shape {vector.shape}, expected ({dim},)"
+            )
+        body[i] = (frame, det_index, vector)
     with open(path, "wb") as handle:
         handle.write(SIDECAR_MAGIC)
         handle.write(struct.pack("<I", dim))
-        for frame, det_index in keys:
-            vector = np.asarray(records[(frame, det_index)], dtype=np.float32)
-            if vector.shape != (dim,):
-                raise DimensionError(
-                    f"record ({frame}, {det_index}) has shape {vector.shape}, expected ({dim},)"
-                )
-            handle.write(struct.pack("<II", frame, det_index))
-            handle.write(vector.tobytes())
+        body.tofile(handle)
+
+
+def _key(packed: np.uint64) -> tuple[int, int]:
+    return int(packed) >> 32, int(packed) & _U32_MAX
+
+
+def _packed(frames, det_indices) -> np.ndarray:
+    """Keys as ``frame << 32 | det_index``, which sort in (frame, det_index) order."""
+    frames = np.asarray(frames, dtype=np.uint64)
+    return frames << np.uint64(32) | np.asarray(det_indices, dtype=np.uint64)
+
+
+def _first_rejected(vectors: np.ndarray, stop: int) -> int:
+    """Index of the first of ``vectors[:stop]`` that ``normalize`` rejects, else ``stop``.
+
+    Rows are checked a few hundred at a time, so the float64 copy stays small.
+    """
+    for start in range(0, stop, _CHECK_ROWS):
+        chunk = vectors[start:min(start + _CHECK_ROWS, stop)].astype(np.float64)
+        bad = ~np.isfinite(chunk).all(axis=1) | (row_norms(chunk)[:, 0] < MIN_EMBEDDING_NORM)
+        if bad.any():
+            return start + int(np.argmax(bad))
+    return stop
 
 
 def load_embedding_sidecar(
@@ -427,49 +465,58 @@ def load_embedding_sidecar(
     """Attach sidecar embeddings to a detection map, normalizing each vector.
 
     The sidecar must contain exactly one record per (frame, det_index) in the
-    detection map; any missing, extra, or duplicate key is a consistency
-    error, and a declared dimension other than ``dim`` is a dimension error.
+    detection map. The first record in file order that repeats a key or holds
+    a vector ``normalize`` rejects decides the error; after it come a missing
+    key and then an extra one, each naming its smallest key. A declared
+    dimension other than ``dim`` is a dimension error.
     """
     blob = Path(path).read_bytes()
     if blob[:4] != SIDECAR_MAGIC:
         raise ParseError(f"bad sidecar magic: {blob[:4]!r}")
-    if len(blob) < 8:
+    if len(blob) < _HEADER_SIZE:
         raise ParseError("sidecar truncated before the dimension field")
-    declared = struct.unpack("<I", blob[4:8])[0]
+    declared = struct.unpack("<I", blob[4:_HEADER_SIZE])[0]
     if declared != dim:
         raise DimensionError(f"sidecar declares dim={declared}, expected {dim}")
-    record_size = 8 + 4 * dim
-    body = blob[8:]
-    if len(body) % record_size != 0:
-        raise ParseError(f"sidecar body size {len(body)} is not a multiple of {record_size}")
+    record = _sidecar_record(dim)
+    body_size = len(blob) - _HEADER_SIZE
+    if body_size % record.itemsize != 0:
+        raise ParseError(f"sidecar body size {body_size} is not a multiple of {record.itemsize}")
+    body = np.frombuffer(blob, dtype=record, offset=_HEADER_SIZE)
+    vectors = body["vec"]
 
-    records: dict[tuple[int, int], np.ndarray] = {}
-    for offset in range(0, len(body), record_size):
-        frame, det_index = struct.unpack_from("<II", body, offset)
-        key = (frame, det_index)
-        if key in records:
-            raise ConsistencyError(f"duplicate sidecar record for {key}")
-        vector = np.frombuffer(body, dtype="<f4", count=dim, offset=offset + 8)
-        records[key] = normalize(vector)
+    file_keys = _packed(body["frame"], body["det"])
+    order = np.argsort(file_keys, kind="stable")
+    keys = file_keys[order]
+    repeats = order[1:][keys[1:] == keys[:-1]]  # each later copy of a key
+    first_repeat = int(repeats.min()) if repeats.size else len(body)
+    first_rejected = _first_rejected(vectors, first_repeat)
+    if first_rejected < first_repeat:
+        normalize(vectors[first_rejected])  # raises normalize's own error for it
+    if first_repeat < len(body):
+        raise ConsistencyError(f"duplicate sidecar record for {_key(file_keys[first_repeat])}")
 
-    needed = {
-        (frame, det_index)
-        for frame, rows in detections.items()
-        for det_index in range(rows.shape[0])
-    }
-    missing = needed - records.keys()
+    sizes = {frame: len(rows) for frame, rows in detections.items() if len(rows)}
+    # Records hold u32 frames, so the first row of any other frame is missing.
+    missing = [(frame, 0) for frame in sizes if not 0 <= frame <= _U32_MAX]
+    in_range = sorted(frame for frame in sizes if 0 <= frame <= _U32_MAX)
+    needed = np.concatenate([_packed(f, np.arange(sizes[f])) for f in in_range] or [keys[:0]])
+    absent = needed[~np.isin(needed, keys, assume_unique=True)]
+    missing += [_key(absent[0])] if absent.size else []
     if missing:
         raise ConsistencyError(f"sidecar missing record for {min(missing)}")
-    extra = records.keys() - needed
-    if extra:
-        raise ConsistencyError(f"sidecar has record {min(extra)} with no matching detection")
+    if len(keys) > len(needed):
+        extra = keys[~np.isin(keys, needed, assume_unique=True)]
+        raise ConsistencyError(f"sidecar has record {_key(extra[0])} with no matching detection")
 
+    # Now the sorted keys are exactly the needed ones: each frame is one run.
     attached: dict[int, np.ndarray] = {}
     for frame, rows in detections.items():
-        out = np.zeros((rows.shape[0], 6 + dim), dtype=np.float64)
+        out = np.empty((rows.shape[0], 6 + dim), dtype=np.float64)
         out[:, :6] = rows
-        for det_index in range(rows.shape[0]):
-            out[det_index, 6:] = records[(frame, det_index)]
+        if len(out):
+            start = int(keys.searchsorted(_packed(frame, 0)))
+            out[:, 6:] = normalize(vectors[order[start:start + len(out)]])
         attached[frame] = out
     return attached
 

@@ -11,9 +11,11 @@ from trackforge.core import (
     box_to_measurement,
     cosine_distance,
     iou,
+    iou_matrix,
     measurement_to_box,
     normalize,
     quantize_binary16,
+    row_norms,
 )
 from trackforge.errors import (
     DegenerateEmbeddingError,
@@ -65,6 +67,22 @@ class TestIou:
         ab = iou(a, b)
         assert 0.0 <= ab <= 1.0
         assert ab == pytest.approx(iou(b, a), abs=1e-12)
+
+
+class TestIouMatrix:
+    @pytest.mark.parametrize("shape", [(2, 6), (8,), (2, 2, 4), (3, 3)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(DimensionError, match=r"\(n, 4\)"):
+            iou_matrix(np.ones(shape), np.ones((2, 4)))
+        with pytest.raises(DimensionError, match=r"\(n, 4\)"):
+            iou_matrix(np.ones((2, 4)), np.ones(shape))
+
+    @pytest.mark.parametrize("empty", [[], np.zeros((0, 4)), np.zeros((0,)), np.zeros((0, 6))])
+    def test_empty_side_is_zero_boxes(self, empty):
+        boxes = np.array([[0.0, 0.0, 2.0, 2.0], [1.0, 1.0, 2.0, 2.0], [9.0, 9.0, 1.0, 1.0]])
+        assert iou_matrix(empty, boxes).shape == (0, 3)
+        assert iou_matrix(boxes, empty).shape == (3, 0)
+        assert iou_matrix(empty, empty).shape == (0, 0)
 
 
 class TestMeasurementConversion:
@@ -154,6 +172,42 @@ class TestNormalize:
         if np.linalg.norm(v) < 1e-6:
             return
         assert abs(np.linalg.norm(normalize(v).astype(np.float64)) - 1.0) < 1e-6
+
+    @settings(deadline=None)
+    @given(
+        st.integers(1, 600), st.integers(1, 12), st.integers(-40, 37), st.integers(0, 2**32 - 1)
+    )
+    def test_rows_match_one_vector_at_a_time(self, dim, n, exponent, seed):
+        """Each row's norm is one dot product, as np.linalg.norm takes a vector's."""
+        rng = np.random.default_rng(seed)
+        rows = (rng.standard_normal((n, dim)) * 10.0**exponent).astype(np.float32)
+        wide = rows.astype(np.float64)
+        norms = row_norms(wide)
+        assert norms.shape == (n, 1)
+        assert norms.tobytes() == np.array([np.linalg.norm(v) for v in wide]).tobytes()
+        if np.any(norms < 1e-12) or not np.all(np.isfinite(norms)):
+            return
+        stacked = normalize(rows)
+        for row, out in zip(rows, stacked):
+            expected = (row.astype(np.float64) / np.linalg.norm(row.astype(np.float64)))
+            assert normalize(row).tobytes() == expected.astype(np.float32).tobytes()
+            assert out.tobytes() == normalize(row).tobytes()
+
+    def test_strided_vector_matches_contiguous_copy(self):
+        rows = np.random.default_rng(3).standard_normal((300, 7))
+        column = rows[:, 2]
+        assert normalize(column).tobytes() == normalize(column.copy()).tobytes()
+        assert row_norms(rows.T)[2, 0] == np.linalg.norm(column)
+
+    def test_degenerate_row_named_by_smallest_norm(self):
+        rows = np.ones((3, 4))
+        rows[1] = 1e-14
+        rows[2] = 1e-13
+        with pytest.raises(DegenerateEmbeddingError) as stacked:
+            normalize(rows)
+        with pytest.raises(DegenerateEmbeddingError) as single:
+            normalize(rows[1])
+        assert str(stacked.value) == str(single.value)
 
 
 half_range = st.floats(-65504.0, 65504.0, allow_nan=False, allow_infinity=False)

@@ -1,6 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trackforge import detgen
 from trackforge.core import BoundingBox, cosine_distance, normalize
 from trackforge.detgen import (
     LatencyModel,
@@ -29,6 +34,22 @@ from trackforge.errors import (
 )
 
 DIM = 16
+
+
+def write_raw_sidecar(path, records, dim):
+    """A sidecar built with struct, record by record, in the order given."""
+    body = b"".join(
+        struct.pack("<II", frame, det) + np.asarray(vector, dtype="<f4").tobytes()
+        for (frame, det), vector in records
+    )
+    path.write_bytes(b"EMB1" + struct.pack("<I", dim) + body)
+
+
+def raised(call, *args):
+    """The (class, message) of the error ``call(*args)`` raises."""
+    with pytest.raises(Exception) as info:
+        call(*args)
+    return type(info.value), str(info.value)
 
 
 def single_object_scenario(noise=None, frames=20):
@@ -320,6 +341,178 @@ class TestEmbeddingSidecar:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ParseError):
             load_embedding_sidecar(path, self._detections(), DIM)
+
+    def _raw_records(self, rng):
+        return [(key, vector) for key, vector in self._records(rng).items()]
+
+    def test_duplicate_record_rejected(self, tmp_path):
+        path = tmp_path / "det.emb"
+        records = self._raw_records(np.random.default_rng(4))
+        write_raw_sidecar(path, records + [records[1]], DIM)
+        with pytest.raises(ConsistencyError, match=r"^duplicate sidecar record for \(2, 0\)$"):
+            load_embedding_sidecar(path, self._detections(), DIM)
+
+    def test_duplicate_zero_vector_reported_as_duplicate(self, tmp_path):
+        path = tmp_path / "det.emb"
+        records = self._raw_records(np.random.default_rng(5))
+        write_raw_sidecar(path, records + [((0, 0), np.zeros(DIM))], DIM)
+        with pytest.raises(ConsistencyError, match=r"^duplicate sidecar record for \(0, 0\)$"):
+            load_embedding_sidecar(path, self._detections(), DIM)
+
+    def test_zero_vector_before_later_duplicate_wins(self, tmp_path):
+        path = tmp_path / "det.emb"
+        (a, _), b, c = self._raw_records(np.random.default_rng(6))
+        write_raw_sidecar(path, [b, (a, np.zeros(DIM)), c, b], DIM)
+        assert raised(load_embedding_sidecar, path, self._detections(), DIM) == raised(
+            normalize, np.zeros(DIM, dtype=np.float32)
+        )
+
+    def test_duplicate_before_later_zero_vector_wins(self, tmp_path):
+        path = tmp_path / "det.emb"
+        (a, _), b, c = self._raw_records(np.random.default_rng(7))
+        write_raw_sidecar(path, [b, c, b, (a, np.zeros(DIM))], DIM)
+        with pytest.raises(ConsistencyError, match=r"^duplicate sidecar record for \(2, 0\)$"):
+            load_embedding_sidecar(path, self._detections(), DIM)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e-14])
+    def test_rejected_vector_keeps_normalize_message(self, tmp_path, bad):
+        path = tmp_path / "det.emb"
+        records = self._raw_records(np.random.default_rng(8))
+        vector = np.full(DIM, 1e-14, dtype=np.float32)
+        vector[3] = bad
+        records[2] = (records[2][0], vector)
+        write_raw_sidecar(path, records, DIM)
+        assert raised(load_embedding_sidecar, path, self._detections(), DIM) == raised(
+            normalize, vector
+        )
+
+    def test_rejected_vector_before_missing_record_wins(self, tmp_path):
+        path = tmp_path / "det.emb"
+        records = self._raw_records(np.random.default_rng(9))
+        write_raw_sidecar(path, [records[0], (records[2][0], np.zeros(DIM))], DIM)
+        with pytest.raises(DegenerateEmbeddingError):
+            load_embedding_sidecar(path, self._detections(), DIM)
+
+    def test_body_not_a_multiple_of_record_size(self, tmp_path):
+        path = tmp_path / "det.emb"
+        write_raw_sidecar(path, self._raw_records(np.random.default_rng(10)), DIM)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ParseError, match=r"^sidecar body size 217 is not a multiple of 72$"):
+            load_embedding_sidecar(path, self._detections(), DIM)
+
+    @pytest.mark.parametrize("blob", [b"EMB1", b"EMB1\x10\x00\x00"])
+    def test_header_shorter_than_eight_bytes(self, tmp_path, blob):
+        path = tmp_path / "det.emb"
+        path.write_bytes(blob)
+        with pytest.raises(ParseError, match="^sidecar truncated before the dimension field$"):
+            load_embedding_sidecar(path, self._detections(), DIM)
+
+    def test_missing_and_extra_name_smallest_key(self, tmp_path):
+        path = tmp_path / "det.emb"
+        rng = np.random.default_rng(11)
+        records = self._records(rng)
+        del records[(2, 1)], records[(0, 0)]
+        records[(7, 3)] = records[(5, 0)] = rng.standard_normal(DIM)
+        write_embedding_sidecar(path, records, DIM)
+        with pytest.raises(ConsistencyError, match=r"^sidecar missing record for \(0, 0\)$"):
+            load_embedding_sidecar(path, self._detections(), DIM)
+        detections = self._detections()
+        detections[2] = detections[2][:1]
+        del detections[0]
+        with pytest.raises(
+            ConsistencyError, match=r"^sidecar has record \(5, 0\) with no matching detection$"
+        ):
+            load_embedding_sidecar(path, detections, DIM)
+
+    def test_frames_keep_detection_order_and_empty_frames(self, tmp_path):
+        path = tmp_path / "det.emb"
+        detections = {5: np.ones((1, 6)), 1: np.zeros((0, 6)), 0: np.full((2, 6), 2.0)}
+        vectors = np.random.default_rng(12).standard_normal((3, DIM))
+        records = {(5, 0): vectors[0], (0, 0): vectors[1], (0, 1): vectors[2]}
+        write_embedding_sidecar(path, records, DIM)
+        attached = load_embedding_sidecar(path, detections, DIM)
+        assert list(attached) == [5, 1, 0]
+        assert attached[1].shape == (0, 6 + DIM)
+        assert attached[0].dtype == np.float64 and attached[0].flags.c_contiguous
+        np.testing.assert_array_equal(attached[0][1, 6:], normalize(vectors[2].astype(np.float32)))
+
+    def test_normalize_called_at_most_once_per_frame(self, tmp_path, monkeypatch):
+        path = tmp_path / "det.emb"
+        rng = np.random.default_rng(13)
+        detections = {frame: np.ones((5, 6)) for frame in range(3)}
+        write_embedding_sidecar(
+            path, {(f, d): rng.standard_normal(DIM) for f in range(3) for d in range(5)}, DIM
+        )
+        calls = []
+
+        def counting(values):
+            calls.append(np.shape(values))
+            return normalize(values)
+
+        monkeypatch.setattr(detgen, "normalize", counting)
+        load_embedding_sidecar(path, detections, DIM)
+        assert len(calls) <= len(detections)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2, 3, 16, 129, 512]),
+        counts=st.lists(st.integers(0, 6), min_size=1, max_size=6),
+        low=st.integers(-46, 30),
+        span=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_equal_normalize_byte_for_byte(
+        self, tmp_path_factory, dim, counts, low, span, seed
+    ):
+        """Random float32 vectors at tiny to huge scales, records in shuffled order."""
+        rng = np.random.default_rng(seed)
+        detections = {frame: np.ones((n, 6)) * frame for frame, n in enumerate(counts)}
+        keys = [(frame, det) for frame, n in enumerate(counts) for det in range(n)]
+        scales = 10.0 ** rng.integers(low, low + span + 1, size=(len(keys), 1))
+        with np.errstate(over="ignore"):  # the largest scales overflow to inf on purpose
+            vectors = (rng.standard_normal((len(keys), dim)) * scales).astype(np.float32)
+        order = rng.permutation(len(keys))
+        path = tmp_path_factory.mktemp("sidecar") / "det.emb"
+        write_raw_sidecar(path, [(keys[i], vectors[i]) for i in order], dim)
+        first_bad = None
+        for i in order:
+            try:
+                normalize(vectors[i])
+            except DegenerateEmbeddingError:
+                first_bad = vectors[i]
+                break
+        if first_bad is not None:
+            assert raised(load_embedding_sidecar, path, detections, dim) == raised(
+                normalize, first_bad
+            )
+            return
+        attached = load_embedding_sidecar(path, detections, dim)
+        assert list(attached) == list(detections)
+        for i, (frame, det) in enumerate(keys):
+            row = attached[frame][det]
+            assert row[:6].tobytes() == detections[frame][det].tobytes()
+            assert row[6:].tobytes() == normalize(vectors[i]).astype(np.float64).tobytes()
+
+    def test_writer_layout(self, tmp_path):
+        path = tmp_path / "det.emb"
+        records = {(3, 1): np.arange(4.0), (0, 2): -np.ones(4, dtype=np.float32)}
+        write_embedding_sidecar(path, records, 4)
+        expected = b"EMB1" + struct.pack("<I", 4)
+        for key in [(0, 2), (3, 1)]:
+            expected += struct.pack("<II", *key) + np.asarray(records[key], "<f4").tobytes()
+        assert path.read_bytes() == expected
+
+    def test_writer_names_first_wrong_shape_in_key_order(self, tmp_path):
+        records = {
+            (2, 0): np.ones(5),
+            (0, 3): np.ones(4),
+            (1, 7): np.ones((2, 2)),
+            (1, 2): np.ones(3),
+        }
+        with pytest.raises(
+            DimensionError, match=r"^record \(1, 2\) has shape \(3,\), expected \(4,\)$"
+        ):
+            write_embedding_sidecar(tmp_path / "det.emb", records, 4)
 
 
 class TestFileFrames:
