@@ -5,6 +5,9 @@ raw output matrices together with exact ground truth, and a loader for
 MOT-format detection files with a binary embedding sidecar. Both produce the
 same raw row layout that :func:`trackforge.postproc.parse_output` consumes.
 
+Each generated frame has its own seeded stream: per alive object one uniform
+(the miss test) and, if kept, ``dim + 5`` normals; then the false positives.
+
 The file loaders build one array per frame, not one per record. The MOT
 loader parses line by line, so each error names its line, and stacks each
 frame's rows once. The sidecar is read as one structured record array (the
@@ -82,8 +85,8 @@ class NoiseParams:
         if not 0.0 <= self.p_miss <= 1.0:
             raise ConfigError(f"p_miss must be in [0, 1], got {self.p_miss}")
         for name in ("sigma_box", "sigma_emb", "sigma_conf", "lambda_fp"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and non-negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,10 +140,12 @@ class ScenarioConfig:
         ids = [o.object_id for o in self.objects]
         if len(ids) != len(set(ids)):
             raise ConfigError("object ids must be unique within a scenario")
-
-    @property
-    def row_width(self) -> int:
-        return 6 + self.embedding_dim
+        for obj in self.objects:
+            if np.shape(obj.identity_embedding) != (self.embedding_dim,):
+                raise DimensionError(
+                    f"object {obj.object_id}: identity embedding has shape "
+                    f"{np.shape(obj.identity_embedding)}, expected ({self.embedding_dim},)"
+                )
 
 
 def identity_embeddings(
@@ -229,51 +234,45 @@ def make_scenario(
 def generate_frame(
     scenario: ScenarioConfig, frame_index: int, seed: int
 ) -> tuple[np.ndarray, list[tuple[int, BoundingBox]]]:
-    """One frame of raw output plus ground truth; pure in (scenario, frame, seed)."""
+    """One frame of raw output plus ground truth; pure in (scenario, frame, seed).
+
+    Draws, in order: per alive object one uniform (the miss test) and, if kept,
+    ``dim + 5`` normals (x, y, w, h, embedding, confidence); then the false positives.
+    """
     if frame_index < 0:
         raise ConfigError(f"frame index must be non-negative, got {frame_index}")
     rng = np.random.default_rng([seed, _STREAM_FRAME, frame_index])
     noise = scenario.noise
     width, height = scenario.image_size
-    rows: list[np.ndarray] = []
-    ground_truth: list[tuple[int, BoundingBox]] = []
-    for obj in scenario.objects:
-        if not obj.alive_at(frame_index):
-            continue
-        box = obj.box_at(frame_index)
-        ground_truth.append((obj.object_id, box))
-        if rng.random() < noise.p_miss:
-            continue
-        x = box.x + rng.normal(0.0, noise.sigma_box)
-        y = box.y + rng.normal(0.0, noise.sigma_box)
-        w = max(box.w + rng.normal(0.0, noise.sigma_box), 1e-3)
-        h = max(box.h + rng.normal(0.0, noise.sigma_box), 1e-3)
-        embedding = normalize(
-            obj.identity_embedding.astype(np.float64)
-            + rng.normal(0.0, noise.sigma_emb, scenario.embedding_dim)
-        )
-        objectness = float(np.clip(0.9 + rng.normal(0.0, noise.sigma_conf), 0.0, 1.0))
-        rows.append(_make_row(x, y, w, h, objectness, embedding))
-    for _ in range(int(rng.poisson(noise.lambda_fp))):
-        w = float(rng.uniform(16.0, 120.0))
-        h = float(rng.uniform(16.0, 120.0))
-        x = float(rng.uniform(0.0, max(width - w, 1.0)))
-        y = float(rng.uniform(0.0, max(height - h, 1.0)))
-        embedding = normalize(rng.standard_normal(scenario.embedding_dim))
-        objectness = float(rng.uniform(0.3, 1.0))
-        rows.append(_make_row(x, y, w, h, objectness, embedding))
-    if not rows:
-        return np.zeros((0, scenario.row_width), dtype=np.float64), ground_truth
-    return np.stack(rows), ground_truth
-
-
-def _make_row(
-    x: float, y: float, w: float, h: float, objectness: float, embedding: np.ndarray
-) -> np.ndarray:
-    row = np.empty(6 + embedding.shape[0], dtype=np.float64)
-    row[:6] = (x, y, w, h, objectness, 1.0)
-    row[6:] = embedding
-    return row
+    dim = scenario.embedding_dim
+    alive = [obj for obj in scenario.objects if obj.alive_at(frame_index)]
+    ground_truth = [(obj.object_id, obj.box_at(frame_index)) for obj in alive]
+    draws = np.empty((len(alive), dim + 5))
+    kept = []
+    for i in range(len(alive)):
+        if rng.random() >= noise.p_miss:
+            rng.standard_normal(out=draws[len(kept)])
+            kept.append(i)
+    m = len(kept)
+    scales = np.full(dim + 5, noise.sigma_emb)
+    scales[:4], scales[-1] = noise.sigma_box, noise.sigma_conf
+    # numpy's normal() is loc + scale * z; with loc = 0 this is that sum exactly.
+    draws = 0.0 + scales * draws[:m]
+    out = np.empty((m + int(rng.poisson(noise.lambda_fp)), 6 + dim))
+    out[:m, :4] = np.reshape([ground_truth[i][1].as_tlwh() for i in kept], (m, 4)) + draws[:, :4]
+    out[:m, 2:4] = np.maximum(out[:m, 2:4], 1e-3)
+    out[:m, 4] = np.clip(0.9 + draws[:, -1], 0.0, 1.0)
+    out[:m, 6:] = np.reshape([alive[i].identity_embedding for i in kept], (m, dim)) + draws[:, 4:-1]
+    for row in out[m:]:
+        w = rng.uniform(16.0, 120.0)
+        h = rng.uniform(16.0, 120.0)
+        x = rng.uniform(0.0, max(width - w, 1.0))
+        row[:4] = x, rng.uniform(0.0, max(height - h, 1.0)), w, h
+        rng.standard_normal(out=row[6:])
+        row[4] = rng.uniform(0.3, 1.0)
+    out[:, 5] = 1.0
+    out[:, 6:] = normalize(out[:, 6:])
+    return out, ground_truth
 
 
 def scenario_frames(scenario: ScenarioConfig, seed: int):

@@ -204,3 +204,50 @@ class KalmanOracle:
         s_inv = np.linalg.inv(s)
         d = np.atleast_2d(zs) - self.H @ mean
         return np.einsum("ni,ij,nj->n", d, s_inv, d)
+
+
+# ---------------------------------------------------------------------------
+# Synthetic detector frame, one object at a time with scalar draws
+# ---------------------------------------------------------------------------
+
+def generate_frame_reference(scenario, frame_index: int, seed: int):
+    """One synthetic frame drawn object by object: (raw rows, [(id, tlwh)]).
+
+    Reads only the scenario's plain fields. The stream is seeded with
+    ``[seed, 1, frame_index]`` (1 tags the per-frame stream). Each alive
+    object draws one uniform for the miss test and, if kept, four box normals,
+    ``dim`` embedding normals and one confidence normal; then come the
+    Poisson false-positive count and each false positive's draws.
+    """
+    rng = np.random.default_rng([seed, 1, frame_index])
+    noise = scenario.noise
+    width, height = scenario.image_size
+    rows, truth = [], []
+    for obj in scenario.objects:
+        if not obj.spawn_frame <= frame_index < obj.despawn_frame:
+            continue
+        k = frame_index - obj.spawn_frame
+        b = obj.initial_box
+        box = (b.x + obj.velocity[0] * k, b.y + obj.velocity[1] * k, b.w, b.h)
+        truth.append((obj.object_id, box))
+        if rng.random() < noise.p_miss:
+            continue
+        x = box[0] + rng.normal(0.0, noise.sigma_box)
+        y = box[1] + rng.normal(0.0, noise.sigma_box)
+        w = max(box[2] + rng.normal(0.0, noise.sigma_box), 1e-3)
+        h = max(box[3] + rng.normal(0.0, noise.sigma_box), 1e-3)
+        v = np.asarray(obj.identity_embedding, dtype=np.float64) + rng.normal(
+            0.0, noise.sigma_emb, scenario.embedding_dim
+        )
+        conf = min(max(0.9 + rng.normal(0.0, noise.sigma_conf), 0.0), 1.0)
+        rows.append([x, y, w, h, conf, 1.0, *(v / np.linalg.norm(v)).astype(np.float32)])
+    for _ in range(int(rng.poisson(noise.lambda_fp))):
+        w = rng.uniform(16.0, 120.0)
+        h = rng.uniform(16.0, 120.0)
+        x = rng.uniform(0.0, max(width - w, 1.0))
+        y = rng.uniform(0.0, max(height - h, 1.0))
+        v = rng.standard_normal(scenario.embedding_dim)
+        conf = rng.uniform(0.3, 1.0)
+        rows.append([x, y, w, h, conf, 1.0, *(v / np.linalg.norm(v)).astype(np.float32)])
+    raw = np.array(rows, dtype=np.float64).reshape(len(rows), 6 + scenario.embedding_dim)
+    return raw, truth

@@ -66,6 +66,12 @@ class TestSynth:
         result = runner.invoke(main, synth_args(tmp_path, extra=["--layout", "spiral"]))
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("flag, value", [("--sigma-box", "nan"), ("--lambda-fp", "inf")])
+    def test_non_finite_noise_exits_two(self, runner, tmp_path, flag, value):
+        result = runner.invoke(main, synth_args(tmp_path, extra=[flag, value]))
+        assert result.exit_code == 2
+        assert not (tmp_path / "scen.json").exists()
+
     def test_p_miss_one_keeps_gt_nonempty(self, runner, tmp_path):
         result = runner.invoke(main, synth_args(tmp_path, extra=["--p-miss", "1.0"]))
         assert result.exit_code == 0

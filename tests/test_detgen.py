@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+import json
+import math
 import struct
 
 import numpy as np
@@ -32,8 +36,10 @@ from trackforge.errors import (
     InvalidBoxError,
     ParseError,
 )
+from oracles import generate_frame_reference
 
 DIM = 16
+LIGHT = dict(p_miss=0.03, sigma_box=1.0, sigma_emb=0.02, sigma_conf=0.02)
 
 
 def write_raw_sidecar(path, records, dim):
@@ -122,6 +128,108 @@ class TestGenerateFrame:
         raw, gt = generate_frame(scenario, 0, seed=0)
         assert raw.shape == (0, 6 + DIM)
         assert gt == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        count=st.integers(0, 30),
+        dim=st.integers(1, 64),
+        layout=st.sampled_from(["lanes", "random"]),
+        p_miss=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+        sigma_box=st.one_of(st.just(0.0), st.floats(1e-3, 50.0)),
+        sigma_emb=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+        sigma_conf=st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+        lambda_fp=st.floats(0.0, 3.0),
+        frame_index=st.integers(0, 25),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_scalar_draw_reference(
+        self, data, count, dim, layout, p_miss, sigma_box, sigma_emb, sigma_conf, lambda_fp,
+        frame_index, seed,
+    ):
+        """Byte for byte, with frames before spawn and after despawn."""
+        noise = NoiseParams(p_miss, sigma_box, sigma_emb, sigma_conf, lambda_fp)
+        base = make_scenario(count, 30, seed, noise=noise, embedding_dim=dim,
+                             separation_margin=0.0, layout=layout)
+        lives = data.draw(st.lists(st.tuples(st.integers(0, 10), st.integers(1, 10)),
+                                   min_size=count, max_size=count))
+        objects = tuple(
+            dataclasses.replace(obj, spawn_frame=spawn, despawn_frame=spawn + life)
+            for obj, (spawn, life) in zip(base.objects, lives)
+        )
+        scenario = dataclasses.replace(base, objects=objects)
+        raw, gt = generate_frame(scenario, frame_index, seed)
+        expected, expected_gt = generate_frame_reference(scenario, frame_index, seed)
+        assert raw.dtype == np.float64 and raw.shape == expected.shape
+        assert raw.tobytes() == expected.tobytes()
+        assert [(i, box.as_tlwh()) for i, box in gt] == expected_gt
+
+    def test_normalize_called_at_most_once(self, monkeypatch):
+        scenario = make_scenario(6, 4, seed=2, embedding_dim=DIM,
+                                 noise=NoiseParams(sigma_emb=0.1, lambda_fp=3.0))
+        calls = []
+
+        def counting(values):
+            calls.append(np.shape(values))
+            return normalize(values)
+
+        monkeypatch.setattr(detgen, "normalize", counting)
+        for frame_index in range(scenario.frames):
+            calls.clear()
+            raw, _ = generate_frame(scenario, frame_index, seed=1)
+            assert len(raw) > 6
+            assert len(calls) <= 1
+
+    # sha256 of every frame's raw bytes in turn. Changing the generator's
+    # draws or arithmetic changes every synthetic scenario and file, so a
+    # digest may only change together with an entry in CHANGES.md.
+    PINNED = [
+        (20, 12, 41, "lanes", 512, NoiseParams(**LIGHT),
+         "9d2250f692f87583dcf0059ba0b475dabd53f0201da024bc65163fca80b56a54"),
+        (100, 4, 43, "lanes", 512, NoiseParams(**LIGHT, lambda_fp=2.0),
+         "230e72fed851658ee9fabda0c0e85b57667408adaa9ea4ae0c868deeef1daac0"),
+        (8, 30, 5, "random", 16,
+         NoiseParams(p_miss=0.5, sigma_box=2.0, sigma_emb=0.1, sigma_conf=0.1, lambda_fp=0.5),
+         "4444cb05e85c5dfafd71928837a9a403bab09eecbd83af73878d2eec9efdee7e"),
+    ]
+
+    @pytest.mark.parametrize(
+        "count, frames, seed, layout, dim, noise, expected", PINNED,
+        ids=["lanes-20-dim512", "lanes-100-dim512-fp2", "random-8-dim16-miss"],
+    )
+    def test_stream_pinned(self, count, frames, seed, layout, dim, noise, expected):
+        scenario = make_scenario(count, frames, seed, noise=noise, embedding_dim=dim,
+                                 layout=layout)
+        digest = hashlib.sha256()
+        for frame_index in range(frames):
+            digest.update(generate_frame(scenario, frame_index, seed)[0].tobytes())
+        assert digest.hexdigest() == expected
+
+    @pytest.mark.parametrize("shape", [(DIM + 1,), (DIM - 1,), (1, DIM), ()])
+    def test_identity_shape_mismatch_rejected(self, shape):
+        obj = dataclasses.replace(
+            single_object_scenario().objects[0], identity_embedding=np.ones(shape)
+        )
+        with pytest.raises(DimensionError):
+            ScenarioConfig(objects=(obj,), frames=3, embedding_dim=DIM)
+
+
+class TestNoiseParams:
+    @pytest.mark.parametrize(
+        "name", ["p_miss", "sigma_box", "sigma_emb", "sigma_conf", "lambda_fp"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    def test_non_finite_or_negative_rejected(self, name, value):
+        with pytest.raises(ConfigError):
+            NoiseParams(**{name: value})
+
+    def test_nan_in_scenario_file_rejected(self):
+        payload = json.loads(scenario_to_json(make_scenario(2, 3, seed=0, embedding_dim=DIM)))
+        payload["noise"]["sigma_box"] = math.nan
+        text = json.dumps(payload)
+        assert '"sigma_box": NaN' in text
+        with pytest.raises(ConfigError):
+            scenario_from_json(text)
 
 
 class TestLatencyModel:
