@@ -71,6 +71,15 @@ def emulated_latency(model: LatencyModel, batch_size: int) -> float:
     return model.t_fixed_ms + batch_size * model.t_image_ms * model.kappa
 
 
+# Highest mean false-positive count per frame. A frame is one (n, 6 + dim)
+# float64 array and NMS builds an (n, n) overlap matrix, so the Poisson draw
+# must stay far below what memory holds, let alone numpy's own limit near
+# 9.2e18, past which rng.poisson raises a bare ValueError. A thousand is
+# hundreds of times any clutter rate used here (at most 2) and costs about
+# 4 MB of rows per frame at dim 512 and 8 MB of overlaps.
+_MAX_LAMBDA_FP = 1000.0
+
+
 @dataclass(frozen=True)
 class NoiseParams:
     """Observation noise for the synthetic generator; zeros mean exact output."""
@@ -87,6 +96,8 @@ class NoiseParams:
         for name in ("sigma_box", "sigma_emb", "sigma_conf", "lambda_fp"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and non-negative")
+        if self.lambda_fp > _MAX_LAMBDA_FP:
+            raise ConfigError(f"lambda_fp must be at most {_MAX_LAMBDA_FP:g}, got {self.lambda_fp}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,6 +11,14 @@ is why every mode and cap produces the same output stream for the same source
 and tracker configuration. Serialized modes run the chain uncut and exist as
 baselines for throughput comparison.
 
+How a batch forms depends on whether frames wait in a queue before
+inference. At cap 3 and above capture runs ahead into q1, and a batch is what
+is waiting there when inference becomes free, at least one frame and at most
+``batch_size``: full batches while inference is the bottleneck, no wait for
+frames that have not arrived yet when it is not. Uncut before inference (cap
+2 or less, and the ``serial`` and ``batched`` modes) nothing waits until it is
+pulled, so every batch but the last fills to ``batch_size``.
+
 Inference cost is emulated by stalling for the LatencyModel's batch price;
 post-processing stalls for whatever remains of its per-frame budget after
 the real tracker work. A stall that wakes past its deadline is made up by the
@@ -60,7 +68,13 @@ class Precision(Enum):
 
 @dataclass(frozen=True)
 class PipelineMode:
-    """One runnable variant: execution strategy, precision, batch size."""
+    """One runnable variant: execution strategy, precision, batch size.
+
+    ``batch_size`` is the most frames one inference call takes. ``serial`` and
+    ``batched`` modes, and ``parallel`` at a thread cap of 2 or less, fill
+    every batch but the last; ``parallel`` at cap 3 and above takes what is
+    waiting in the capture queue, up to ``batch_size``.
+    """
 
     execution: ExecutionMode = ExecutionMode.SERIAL
     precision: Precision = Precision.FULL
@@ -124,6 +138,7 @@ class RunReport:
     max_q1: int
     max_q2: int
     frames_total: int = 0
+    batches: int = 0  # inference calls; frames_total / batches is the mean batch size
     stage_busy_s: dict[str, float] = field(default_factory=dict)
 
     CSV_HEADER = "mode,precision,batch_size,frames,seconds,fps,max_q1,max_q2"
@@ -140,7 +155,8 @@ class StageQueue:
 
     `put` blocks while the queue is full, `get` blocks while it is empty, and
     `close` enqueues a sentinel delivered exactly once after the last data
-    message. `abort` wakes every blocked caller with PipelineAborted so a
+    message. `take` pops several items under one lock and stops short of the
+    sentinel. `abort` wakes every blocked caller with PipelineAborted so a
     failing pipeline can shut down without deadlocking.
     """
 
@@ -175,6 +191,25 @@ class StageQueue:
             self._not_full.notify()
             return item
 
+    def take(self, limit: int) -> list:
+        """Block for the first item, then pop what else is queued, ``limit`` in all.
+
+        Stops before the close sentinel and leaves it queued, so once every
+        data item is taken this and every later call return ``[]``.
+        """
+        if limit < 1:
+            raise ConfigError(f"take limit must be >= 1, got {limit}")
+        with self._lock:
+            while not self._items and not self._aborted:
+                self._not_empty.wait()
+            if self._aborted:
+                raise PipelineAborted("queue aborted")
+            items = []
+            while self._items and len(items) < limit and self._items[0] is not _SENTINEL:
+                items.append(self._items.popleft())
+            self._not_full.notify(len(items))
+            return items
+
     def close(self) -> None:
         self.put(_SENTINEL)
 
@@ -196,7 +231,10 @@ def batcher(items: Iterable, batch_size: int) -> Iterator[list]:
     """Group items into lists of ``batch_size``, preserving order.
 
     Pulls until each batch fills; at the end of the items the final partial
-    batch is emitted. A StageQueue is iterable, so a queue can feed it too.
+    batch is emitted. This is how the uncut chain batches (the ``serial`` and
+    ``batched`` modes, and ``parallel`` at a thread cap of 2 or less), where
+    the next frame exists only once it is pulled; behind the capture queue
+    ``StageQueue.take`` forms the batches instead.
     """
     if batch_size < 1:
         raise ConfigError(f"batch size must be >= 1, got {batch_size}")
@@ -211,7 +249,12 @@ def batcher(items: Iterable, batch_size: int) -> Iterator[list]:
 
 
 def predicted_fps(config: PipelineConfig, mode: PipelineMode, detections_per_frame: float) -> float:
-    """Analytic throughput: bottleneck stage when parallel, stage sum otherwise."""
+    """Analytic saturated throughput: bottleneck stage when parallel, stage sum otherwise.
+
+    It is the rate of an unpaced source, under which every batch is full. A
+    source slower than this rate leaves the parallel runtime smaller batches
+    and idle time, and runs at the source's rate.
+    """
     latency = config.latency_for(mode.precision)
     model_ms = emulated_latency(latency, mode.batch_size) / mode.batch_size
     post_ms = config.post_ms(detections_per_frame)
@@ -254,6 +297,7 @@ class _Runner:
         self.output_times: list[float] = []  # when each frame's post-processing ended
         self.outputs: list[TrackerOutput] = []
         self.busy = {"capture": 0.0, "infer": 0.0, "post": 0.0}
+        self.batches = 0
         self.credit = {"infer": 0.0, "post": 0.0}
 
     def _capture(self) -> Iterator[tuple[int, np.ndarray]]:
@@ -270,6 +314,7 @@ class _Runner:
             start = time.perf_counter()
             self._stall("infer", emulated_latency(self.latency, len(batch)) / 1000.0)
             self.busy["infer"] += time.perf_counter() - start
+            self.batches += 1
             yield from batch
 
     def _post_one(self, frame_index: int, raw: np.ndarray) -> None:
@@ -308,6 +353,7 @@ class _Runner:
 
         A queue and a worker thread cut the chain before batching when
         ``cap >= 3`` (q1) and before post-processing when ``cap >= 2`` (q2).
+        Behind q1 each batch is what waits there, up to the batch size.
         """
         q1 = StageQueue(self.config.q1_capacity)
         q2 = StageQueue(self.config.q2_capacity)
@@ -335,10 +381,13 @@ class _Runner:
             worker.start()
             return queue
 
-        frames: Iterable = self._capture()
+        batch_size = self.mode.batch_size
         if cap >= 3:
-            frames = hand_off(frames, q1)
-        frames = self._infer(batcher(frames, self.mode.batch_size))
+            hand_off(self._capture(), q1)
+            batches: Iterable[list] = iter(lambda: q1.take(batch_size), [])
+        else:
+            batches = batcher(self._capture(), batch_size)
+        frames: Iterable = self._infer(batches)
         if cap >= 2:
             frames = hand_off(frames, q2)
         try:
@@ -375,6 +424,7 @@ class _Runner:
             max_q1=max_q1,
             max_q2=max_q2,
             frames_total=total,
+            batches=self.batches,
             stage_busy_s=dict(self.busy),
         )
 

@@ -66,7 +66,9 @@ class TestSynth:
         result = runner.invoke(main, synth_args(tmp_path, extra=["--layout", "spiral"]))
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("flag, value", [("--sigma-box", "nan"), ("--lambda-fp", "inf")])
+    @pytest.mark.parametrize(
+        "flag, value", [("--sigma-box", "nan"), ("--lambda-fp", "inf"), ("--lambda-fp", "1e20")]
+    )
     def test_non_finite_noise_exits_two(self, runner, tmp_path, flag, value):
         result = runner.invoke(main, synth_args(tmp_path, extra=[flag, value]))
         assert result.exit_code == 2

@@ -231,6 +231,22 @@ class TestNoiseParams:
         with pytest.raises(ConfigError):
             scenario_from_json(text)
 
+    # Checked without calling generate_frame: a value just under numpy's
+    # Poisson limit would ask for that many rows.
+    @pytest.mark.parametrize("value", [1000.5, 1e6, 1e20, 1e300])
+    def test_huge_lambda_fp_rejected(self, value):
+        with pytest.raises(ConfigError, match="lambda_fp"):
+            NoiseParams(lambda_fp=value)
+
+    def test_lambda_fp_ceiling_accepted(self):
+        assert NoiseParams(lambda_fp=1000.0).lambda_fp == 1000.0
+
+    def test_huge_lambda_fp_in_scenario_file_rejected(self):
+        payload = json.loads(scenario_to_json(make_scenario(2, 3, seed=0, embedding_dim=DIM)))
+        payload["noise"]["lambda_fp"] = 1e20
+        with pytest.raises(ConfigError, match="lambda_fp"):
+            scenario_from_json(json.dumps(payload))
+
 
 class TestLatencyModel:
     def test_full_precision_batch_one(self):

@@ -1,12 +1,15 @@
+import math
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
+from trackforge.cli import write_mot_results
 from trackforge.detgen import NoiseParams, make_scenario, scenario_frames
 from trackforge import pipeline
-from trackforge.errors import ConfigError, OrderingError
+from trackforge.errors import ConfigError, OrderingError, PipelineAborted
 from trackforge.pipeline import (
     ExecutionMode,
     PipelineConfig,
@@ -44,6 +47,59 @@ def run_mode(scenario, execution, precision=Precision.FULL, batch=1, config=FAST
         PipelineMode(execution, precision, batch),
         config,
     )
+
+
+class StepClock(Tracker):
+    """Tracker that records when each step returns."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.done = []
+
+    def step(self, frame_index, detections):
+        output = super().step(frame_index, detections)
+        self.done.append(time.perf_counter())
+        return output
+
+
+class PacedFrames:
+    """Open-loop source: releases frame i at t0 + i * period, and records when it was due."""
+
+    def __init__(self, frames, period):
+        self.frames = frames
+        self.period = period
+        self.due = []
+
+    def __iter__(self):
+        start = time.perf_counter()
+        for i, frame in enumerate(self.frames):
+            due = start + i * self.period
+            time.sleep(max(0.0, due - time.perf_counter()))
+            self.due.append(due)
+            yield frame
+
+
+# One frame costs 3 ms of inference, a 40 ms period leaves the model idle
+# between frames, and a full batch of 4 would wait 3 periods for its last frame.
+PACED_CONFIG = PipelineConfig(
+    t_fixed_ms=1.0, t_image_ms=2.0, t_post_fixed_ms=0.5,
+    t_post_per_detection_ms=0.0, warmup_frames=0,
+)
+PACED_PERIOD_S = 0.040
+PACED_BATCH = 4
+
+
+def paced_run(monkeypatch, cap, frames=16):
+    monkeypatch.setenv("TRACKFORGE_THREADS", str(cap))
+    scenario = fast_scenario(objects=4, frames=frames, noise=NoiseParams(sigma_box=0.5))
+    source = PacedFrames(list(scenario_frames(scenario, 3)), PACED_PERIOD_S)
+    tracker = StepClock(TrackerConfig(embedding_dim=DIM))
+    outputs, report = run(
+        source, tracker,
+        PipelineMode(ExecutionMode.PARALLEL, Precision.FULL, PACED_BATCH), PACED_CONFIG,
+    )
+    latency = [done - due for done, due in zip(tracker.done, source.due)]
+    return outputs, report, latency
 
 
 class TestStageQueue:
@@ -98,6 +154,96 @@ class TestStageQueue:
     def test_invalid_capacity(self):
         with pytest.raises(ConfigError):
             StageQueue(0)
+
+
+class TestStageQueueTake:
+    def _queue_of(self, items, close=False):
+        q = StageQueue(capacity=len(items) + 1)
+        for item in items:
+            q.put(item)
+        if close:
+            q.close()
+        return q
+
+    def test_respects_limit_in_fifo_order(self):
+        q = self._queue_of(list(range(7)))
+        assert [q.take(3), q.take(3), q.take(3)] == [[0, 1, 2], [3, 4, 5], [6]]
+
+    def test_partial_when_fewer_queued(self):
+        q = self._queue_of([5, 6])
+        assert q.take(4) == [5, 6]
+
+    def test_stops_before_sentinel_then_returns_empty(self):
+        q = self._queue_of([0, 1, 2], close=True)
+        assert q.take(2) == [0, 1]
+        assert q.take(5) == [2]
+        assert [q.take(5), q.take(1), q.take(5)] == [[], [], []]
+
+    def test_empty_stream_returns_empty(self):
+        assert self._queue_of([], close=True).take(3) == []
+
+    def test_invalid_limit(self):
+        with pytest.raises(ConfigError):
+            StageQueue(2).take(0)
+
+    def _blocked_taker(self, q):
+        result = []
+
+        def taker():
+            try:
+                result.append(q.take(4))
+            except PipelineAborted:
+                result.append("aborted")
+
+        thread = threading.Thread(target=taker, daemon=True)
+        thread.start()
+        time.sleep(0.05)
+        assert thread.is_alive() and result == []  # blocked: queue empty
+        return thread, result
+
+    def test_blocked_taker_wakes_on_put(self):
+        q = StageQueue(capacity=4)
+        thread, result = self._blocked_taker(q)
+        q.put(7)
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert result == [[7]]
+
+    def test_blocked_taker_wakes_on_abort(self):
+        q = StageQueue(capacity=4)
+        thread, result = self._blocked_taker(q)
+        q.abort()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert result == ["aborted"]
+
+    def test_racing_producer_loses_and_duplicates_nothing(self):
+        q = StageQueue(capacity=3)
+        count, limit = 3000, 4
+        batches = []
+
+        def producer():
+            for i in range(count):
+                q.put(i)
+            q.close()
+
+        def taker():
+            batches.extend(iter(lambda: q.take(limit), []))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=f, daemon=True) for f in (producer, taker)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=20)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert [item for batch in batches for item in batch] == list(range(count))
+        assert all(1 <= len(batch) <= limit for batch in batches)
+        assert q.max_occupancy <= 3
 
 
 class TestBatcher:
@@ -319,16 +465,6 @@ class TestThroughputSanity:
     def test_unpaced_fps_matches_output_clock(self):
         # An unpaced source fills both queues at once, so the warm-up frame is
         # captured long before it is output; the rate must not count that wait.
-        class StepClock(Tracker):
-            def __init__(self, config):
-                super().__init__(config)
-                self.done = []
-
-            def step(self, frame_index, detections):
-                output = super().step(frame_index, detections)
-                self.done.append(time.perf_counter())
-                return output
-
         scenario = fast_scenario(objects=5, frames=150)
         config = PipelineConfig(
             t_fixed_ms=1.0, t_image_ms=2.0, t_post_fixed_ms=4.0,
@@ -386,7 +522,57 @@ class TestRunReport:
         assert report.stage_busy_s["post"] > 0
 
 
+class TestDynamicBatching:
+    # Inference (2 + 3 * b ms a batch) is far slower than capture, so an
+    # unpaced source keeps q1 full after the first batch.
+    SLOW_INFER = PipelineConfig(
+        t_fixed_ms=2.0, t_image_ms=3.0, t_post_fixed_ms=0.1,
+        t_post_per_detection_ms=0.01, warmup_frames=3,
+    )
+
+    def test_unpaced_batches_stay_full_behind_the_capture_queue(self):
+        scenario = fast_scenario(objects=5, frames=40)
+        outputs, report = run_mode(scenario, ExecutionMode.PARALLEL, batch=4,
+                                   config=self.SLOW_INFER)
+        assert len(outputs) == report.frames_total == 40
+        # The first take may find one frame; every later batch but the last is full.
+        assert math.ceil(40 / 4) <= report.batches <= math.ceil(40 / 4) + 1
+
+    @pytest.mark.parametrize("execution, cap", [
+        (ExecutionMode.PARALLEL, "1"),
+        (ExecutionMode.PARALLEL, "2"),
+        (ExecutionMode.BATCHED_SERIAL, "3"),
+    ])
+    def test_uncut_chain_fills_every_batch(self, execution, cap, monkeypatch):
+        monkeypatch.setenv("TRACKFORGE_THREADS", cap)
+        scenario = fast_scenario(objects=5, frames=25)
+        _, report = run_mode(scenario, execution, batch=4)
+        assert report.batches == math.ceil(25 / 4)
+
+    def test_paced_source_runs_batches_of_one_without_fill_wait(self, monkeypatch):
+        one_frame_s = pipeline.emulated_latency(PACED_CONFIG.latency_for(Precision.FULL), 1) / 1000
+        assert PACED_PERIOD_S > one_frame_s
+        outputs, report, latency = paced_run(monkeypatch, cap=3)
+        assert report.batches == len(outputs) == 16
+        fill_wait_s = (PACED_BATCH - 1) * PACED_PERIOD_S
+        assert max(latency) < fill_wait_s, latency
+
+
 class TestThreadCap:
+    def test_paced_source_keeps_output_at_every_cap(self, monkeypatch, tmp_path):
+        reference, _ = run_mode(
+            fast_scenario(objects=4, frames=16, noise=NoiseParams(sigma_box=0.5)),
+            ExecutionMode.SERIAL,
+        )
+        write_mot_results(tmp_path / "serial.txt", reference)
+        expected = (tmp_path / "serial.txt").read_bytes()
+        assert expected
+        for cap in (1, 2, 3):
+            outputs, report, _ = paced_run(monkeypatch, cap)
+            write_mot_results(tmp_path / f"cap{cap}.txt", outputs)
+            assert (tmp_path / f"cap{cap}.txt").read_bytes() == expected, cap
+            assert report.batches == (16 if cap == 3 else 4), cap
+
     def test_capped_to_two_threads_keeps_output(self, monkeypatch):
         scenario = fast_scenario(objects=4, frames=25)
         reference, _ = run_mode(scenario, ExecutionMode.PARALLEL, batch=3)
