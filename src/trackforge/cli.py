@@ -30,10 +30,17 @@ from .tracker import Tracker, TrackerConfig, TrackerOutput
 _EXECUTIONS = {mode.value: mode for mode in ExecutionMode}
 _PRECISIONS = {prec.value: prec for prec in Precision}
 
-# Labels for the canonical four-variant comparison: original serialized
-# pipeline, mixed precision, mixed + batchwise, mixed + batchwise + parallel
-# post-processing.
-FOUR_VARIANTS = ("OP", "MP", "MP+BW", "MP+BW+PP")
+
+def paper_variants(batch_size: int) -> dict[str, PipelineMode]:
+    """The paper's four variants by label: original pipeline (OP), mixed
+    precision (MP), mixed + batchwise (MP+BW) and mixed + batchwise + parallel
+    post-processing (MP+BW+PP); the batchwise ones run at ``batch_size``."""
+    return {
+        "OP": PipelineMode(ExecutionMode.SERIAL, Precision.FULL, 1),
+        "MP": PipelineMode(ExecutionMode.SERIAL, Precision.MIXED, 1),
+        "MP+BW": PipelineMode(ExecutionMode.BATCHED_SERIAL, Precision.MIXED, batch_size),
+        "MP+BW+PP": PipelineMode(ExecutionMode.PARALLEL, Precision.MIXED, batch_size),
+    }
 
 
 def _usage_errors(command):
@@ -239,12 +246,7 @@ def bench(
     pipeline_config = build_pipeline_config(config_file.get("pipeline", {}))
 
     if four_variants:
-        variants = [
-            ("OP", PipelineMode(ExecutionMode.SERIAL, Precision.FULL, 1)),
-            ("MP", PipelineMode(ExecutionMode.SERIAL, Precision.MIXED, 1)),
-            ("MP+BW", PipelineMode(ExecutionMode.BATCHED_SERIAL, Precision.MIXED, batch_size)),
-            ("MP+BW+PP", PipelineMode(ExecutionMode.PARALLEL, Precision.MIXED, batch_size)),
-        ]
+        variants = list(paper_variants(batch_size).items())
     else:
         mode_list = [m.strip() for m in modes.split(",") if m.strip()]
         precision_list = [p.strip() for p in precisions.split(",") if p.strip()]

@@ -2,22 +2,22 @@
 
 Every mode runs one chain: frames pulled from the source are grouped into
 batches, each batch stalls for its inference price, and post-processing runs
-frame by frame on the calling thread. The parallel mode cuts that chain with
-bounded FIFO queues and runs the part before each cut in its own thread, so
-inference on batch k+1 overlaps post-processing of batch k; the
-TRACKFORGE_THREADS cap decides how many cuts there are. Post-processing stays
-strictly sequential in frame order (tracker state is order-dependent), which
-is why every mode and cap produces the same output stream for the same source
-and tracker configuration. Serialized modes run the chain uncut and exist as
-baselines for throughput comparison.
+frame by frame on the calling thread. The ``serial`` and ``batched`` modes run
+the chain uncut and exist as baselines for throughput comparison. The
+``parallel`` mode cuts it with two bounded FIFO queues, capture in a worker
+thread behind q1 and inference in another behind q2, so inference on batch
+k+1 overlaps post-processing of batch k. Post-processing stays strictly
+sequential in frame order (tracker state is order-dependent), which is why
+every mode produces the same output stream for the same source and tracker
+configuration.
 
 How a batch forms depends on whether frames wait in a queue before
-inference. At cap 3 and above capture runs ahead into q1, and a batch is what
-is waiting there when inference becomes free, at least one frame and at most
-``batch_size``: full batches while inference is the bottleneck, no wait for
-frames that have not arrived yet when it is not. Uncut before inference (cap
-2 or less, and the ``serial`` and ``batched`` modes) nothing waits until it is
-pulled, so every batch but the last fills to ``batch_size``.
+inference. In the ``parallel`` mode capture runs ahead into q1, and a batch is
+what is waiting there when inference becomes free, at least one frame and at
+most ``batch_size``: full batches while inference is the bottleneck, no wait
+for frames that have not arrived yet when it is not. In the uncut chain
+nothing waits until it is pulled, so every batch but the last fills to
+``batch_size``.
 
 Inference cost is emulated by stalling for the LatencyModel's batch price;
 post-processing stalls for whatever remains of its per-frame budget after
@@ -34,7 +34,6 @@ matrix in one call each, and ``Tracker.step`` takes it as is.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import deque
@@ -49,8 +48,6 @@ from .detgen import KAPPA_FULL, KAPPA_MIXED, LatencyModel, emulated_latency
 from .errors import ConfigError, PipelineAborted
 from .postproc import parse_output
 from .tracker import Tracker, TrackerOutput
-
-THREADS_ENV_VAR = "TRACKFORGE_THREADS"
 
 _SENTINEL = object()
 
@@ -71,9 +68,8 @@ class PipelineMode:
     """One runnable variant: execution strategy, precision, batch size.
 
     ``batch_size`` is the most frames one inference call takes. ``serial`` and
-    ``batched`` modes, and ``parallel`` at a thread cap of 2 or less, fill
-    every batch but the last; ``parallel`` at cap 3 and above takes what is
-    waiting in the capture queue, up to ``batch_size``.
+    ``batched`` modes fill every batch but the last; ``parallel`` takes what
+    is waiting in the capture queue, up to ``batch_size``.
     """
 
     execution: ExecutionMode = ExecutionMode.SERIAL
@@ -231,9 +227,9 @@ def batcher(items: Iterable, batch_size: int) -> Iterator[list]:
     """Group items into lists of ``batch_size``, preserving order.
 
     Pulls until each batch fills; at the end of the items the final partial
-    batch is emitted. This is how the uncut chain batches (the ``serial`` and
-    ``batched`` modes, and ``parallel`` at a thread cap of 2 or less), where
-    the next frame exists only once it is pulled; behind the capture queue
+    batch is emitted. This is how the uncut chain of the ``serial`` and
+    ``batched`` modes batches, where the next frame exists only once it is
+    pulled; behind the capture queue of the ``parallel`` mode
     ``StageQueue.take`` forms the batches instead.
     """
     if batch_size < 1:
@@ -274,9 +270,7 @@ def run(
     Returns the per-frame outputs (identical across modes for a fixed source
     and tracker configuration) and a timing report.
     """
-    config = config or PipelineConfig()
-    cap = _thread_cap() if mode.execution is ExecutionMode.PARALLEL else 1
-    return _Runner(source, tracker, mode, config).run(cap)
+    return _Runner(source, tracker, mode, config or PipelineConfig()).run()
 
 
 class _Runner:
@@ -348,12 +342,13 @@ class _Runner:
         else:
             self.credit[stage] = _delay(seconds - credit)
 
-    def run(self, cap: int) -> tuple[list[TrackerOutput], RunReport]:
+    def run(self) -> tuple[list[TrackerOutput], RunReport]:
         """Run the capture -> batch -> infer -> post chain, post on this thread.
 
-        A queue and a worker thread cut the chain before batching when
-        ``cap >= 3`` (q1) and before post-processing when ``cap >= 2`` (q2).
-        Behind q1 each batch is what waits there, up to the batch size.
+        In the ``parallel`` mode a queue and a worker thread cut the chain
+        before batching (q1) and before post-processing (q2), and each batch
+        is what waits in q1, up to the batch size. The other modes run the
+        chain uncut on this thread.
         """
         q1 = StageQueue(self.config.q1_capacity)
         q2 = StageQueue(self.config.q2_capacity)
@@ -382,14 +377,11 @@ class _Runner:
             return queue
 
         batch_size = self.mode.batch_size
-        if cap >= 3:
+        if self.mode.execution is ExecutionMode.PARALLEL:
             hand_off(self._capture(), q1)
-            batches: Iterable[list] = iter(lambda: q1.take(batch_size), [])
+            frames: Iterable = hand_off(self._infer(iter(lambda: q1.take(batch_size), [])), q2)
         else:
-            batches = batcher(self._capture(), batch_size)
-        frames: Iterable = self._infer(batches)
-        if cap >= 2:
-            frames = hand_off(frames, q2)
+            frames = self._infer(batcher(self._capture(), batch_size))
         try:
             for frame_index, raw in frames:
                 self._post_one(frame_index, raw)
@@ -449,15 +441,3 @@ def _delay(seconds: float) -> float:
         time.sleep(0)
     return time.perf_counter() - deadline
 
-
-def _thread_cap() -> int:
-    value = os.environ.get(THREADS_ENV_VAR)
-    if value is None or not value.strip():
-        return 3
-    try:
-        cap = int(value)
-    except ValueError as exc:
-        raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {value!r}") from exc
-    if cap < 1:
-        raise ConfigError(f"{THREADS_ENV_VAR} must be >= 1, got {cap}")
-    return cap

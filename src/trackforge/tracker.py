@@ -30,7 +30,7 @@ import numpy as np
 
 from .assoc import apply_gate, build_cost_matrix, hungarian_solve, match_with_threshold
 from .core import BoundingBox, DetectionBatch, box_to_measurement, measurement_to_box, normalize
-from .errors import ConfigError, DimensionError, OrderingError
+from .errors import ConfigError, DimensionError, InvalidBoxError, OrderingError
 from .motion import CHI2_GATE_95_4DOF, KalmanFilter, KalmanState, MotionNoise
 from .postproc import filter_confidence, nms
 
@@ -101,27 +101,39 @@ class Tracker:
         self._last_frame: int | None = None
 
     def step(self, frame_index: int, batch: DetectionBatch) -> TrackerOutput:
-        """Track one frame. Every row must carry an ``embedding_dim`` embedding,
-        whether or not it survives the confidence filter and NMS."""
+        """Track one frame. Every row must carry an ``embedding_dim`` embedding
+        and a box with a valid measurement, whether or not it survives the
+        confidence filter and NMS. A frame rejected by these checks changes
+        nothing, so it can be retried."""
         cfg = self.config
         if self._last_frame is not None and frame_index <= self._last_frame:
             raise OrderingError(
                 f"frame {frame_index} does not advance past {self._last_frame}"
             )
-        self._last_frame = frame_index
-
         shape = None if batch.embeddings is None else batch.embeddings.shape[1:]
         if len(batch) and shape != (cfg.embedding_dim,):
             raise DimensionError(
                 f"tracking requires {cfg.embedding_dim}-dim detection embeddings, got {shape}"
             )
+        with np.errstate(all="ignore"):
+            measured = box_to_measurement(batch.boxes)
+        valid = np.isfinite(measured).all(axis=1) & (measured[:, 2:] > 0).all(axis=1)
+        if not valid.all():
+            row = int(np.argmin(valid))
+            raise InvalidBoxError(
+                f"row {row}: box {batch.boxes[row].tolist()} has no finite measurement with "
+                f"positive aspect and height, got {measured[row].tolist()}"
+            )
         keep = filter_confidence(batch.objectness, cfg.conf_threshold)
         keep = keep[nms(batch.boxes[keep], batch.objectness[keep], cfg.nms_iou)]
         dets = batch.take(keep)
 
+        # Set before the first state change, so a step that fails from here
+        # on cannot be retried into a second predict.
+        self._last_frame = frame_index
         self.kalman = self._filter.predict(self.kalman)
 
-        measurements = box_to_measurement(dets.boxes)
+        measurements = measured[keep]
         det_embeddings = dets.embeddings if len(dets) else np.zeros((0, cfg.embedding_dim))
         cost = build_cost_matrix(self.embeddings, det_embeddings)
         if self.tracks and len(dets):

@@ -9,7 +9,7 @@ affecting the properties under test.
 import numpy as np
 import pytest
 
-from trackforge.cli import write_mot_results
+from trackforge.cli import paper_variants, write_mot_results
 from trackforge.core import quantize_binary16
 from trackforge.detgen import NoiseParams, make_scenario, scenario_frames, scenario_ground_truth
 from trackforge.moteval import accumulate, clear_mot, evaluate, id_metrics, outputs_to_frames
@@ -88,15 +88,11 @@ def test_criterion_01_determinism_across_modes(tmp_path):
 
 def test_criterion_02_speedup_shape():
     scenario = make_scenario(20, 150, seed=22, embedding_dim=64)
-    variants = [
-        ("OP", ExecutionMode.SERIAL, Precision.FULL, 1),
-        ("MP", ExecutionMode.SERIAL, Precision.MIXED, 1),
-        ("MP+BW", ExecutionMode.BATCHED_SERIAL, Precision.MIXED, 4),
-        ("MP+BW+PP", ExecutionMode.PARALLEL, Precision.MIXED, 4),
-    ]
     fps = {}
-    for label, execution, precision, batch in variants:
-        _, report = run_variant(scenario, execution, precision, batch, DEFAULT_CONFIG)
+    for label, mode in paper_variants(4).items():
+        _, report = run_variant(
+            scenario, mode.execution, mode.precision, mode.batch_size, DEFAULT_CONFIG
+        )
         fps[label] = report.fps
     assert fps["OP"] < fps["MP"] < fps["MP+BW"] < fps["MP+BW+PP"], fps
     assert fps["OP"] == pytest.approx(19.0, rel=0.10), fps["OP"]

@@ -88,15 +88,18 @@ PACED_CONFIG = PipelineConfig(
 PACED_PERIOD_S = 0.040
 PACED_BATCH = 4
 
+# One mode of each layout: the uncut chain on the caller, and capture and
+# inference in worker threads of their own.
+LAYOUTS = [ExecutionMode.BATCHED_SERIAL, ExecutionMode.PARALLEL]
 
-def paced_run(monkeypatch, cap, frames=16):
-    monkeypatch.setenv("TRACKFORGE_THREADS", str(cap))
+
+def paced_run(execution, frames=16):
     scenario = fast_scenario(objects=4, frames=frames, noise=NoiseParams(sigma_box=0.5))
     source = PacedFrames(list(scenario_frames(scenario, 3)), PACED_PERIOD_S)
     tracker = StepClock(TrackerConfig(embedding_dim=DIM))
     outputs, report = run(
         source, tracker,
-        PipelineMode(ExecutionMode.PARALLEL, Precision.FULL, PACED_BATCH), PACED_CONFIG,
+        PipelineMode(execution, Precision.FULL, PACED_BATCH), PACED_CONFIG,
     )
     latency = [done - due for done, due in zip(tracker.done, source.due)]
     return outputs, report, latency
@@ -374,12 +377,10 @@ class TestErrorPropagation:
         with pytest.raises(RuntimeError, match="no frames"):
             run(broken_source(), tracker, PipelineMode(), FAST)
 
-    # Each cap puts the failing stage on a different thread: at cap 1 every
-    # stage runs on the caller, at 2 the source runs in the inference worker,
-    # at 3 in its own capture worker.
-    @pytest.mark.parametrize("cap", ["1", "2", "3"])
-    def test_source_failure_mid_run_joins_workers(self, cap, monkeypatch):
-        monkeypatch.setenv("TRACKFORGE_THREADS", cap)
+    # The uncut chain fails on the caller; in parallel mode the source fails in
+    # the capture worker and the tracker on the caller while both workers run.
+    @pytest.mark.parametrize("execution", LAYOUTS, ids=lambda mode: mode.value)
+    def test_source_failure_mid_run_joins_workers(self, execution):
         scenario = fast_scenario(objects=2, frames=20)
 
         def broken_source():
@@ -391,14 +392,11 @@ class TestErrorPropagation:
         before = threading.active_count()
         tracker = Tracker(TrackerConfig(embedding_dim=DIM))
         with pytest.raises(KeyError, match="camera unplugged"):
-            run(broken_source(), tracker,
-                PipelineMode(ExecutionMode.PARALLEL, Precision.FULL, 2), FAST)
+            run(broken_source(), tracker, PipelineMode(execution, Precision.FULL, 2), FAST)
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("cap", ["1", "2", "3"])
-    def test_tracker_failure_with_full_queues_joins_workers(self, cap, monkeypatch):
-        monkeypatch.setenv("TRACKFORGE_THREADS", cap)
-
+    @pytest.mark.parametrize("execution", LAYOUTS, ids=lambda mode: mode.value)
+    def test_tracker_failure_with_full_queues_joins_workers(self, execution):
         class StepFailure(Exception):
             pass
 
@@ -417,7 +415,7 @@ class TestErrorPropagation:
         before = threading.active_count()
         with pytest.raises(StepFailure):
             run(scenario_frames(scenario, 1), FailingTracker(TrackerConfig(embedding_dim=DIM)),
-                PipelineMode(ExecutionMode.PARALLEL, Precision.FULL, 2), config)
+                PipelineMode(execution, Precision.FULL, 2), config)
         assert threading.active_count() == before
 
 
@@ -538,28 +536,53 @@ class TestDynamicBatching:
         # The first take may find one frame; every later batch but the last is full.
         assert math.ceil(40 / 4) <= report.batches <= math.ceil(40 / 4) + 1
 
-    @pytest.mark.parametrize("execution, cap", [
-        (ExecutionMode.PARALLEL, "1"),
-        (ExecutionMode.PARALLEL, "2"),
-        (ExecutionMode.BATCHED_SERIAL, "3"),
-    ])
-    def test_uncut_chain_fills_every_batch(self, execution, cap, monkeypatch):
-        monkeypatch.setenv("TRACKFORGE_THREADS", cap)
+    def test_uncut_chain_fills_every_batch(self):
         scenario = fast_scenario(objects=5, frames=25)
-        _, report = run_mode(scenario, execution, batch=4)
+        _, report = run_mode(scenario, ExecutionMode.BATCHED_SERIAL, batch=4)
         assert report.batches == math.ceil(25 / 4)
 
-    def test_paced_source_runs_batches_of_one_without_fill_wait(self, monkeypatch):
+    def test_paced_source_runs_batches_of_one_without_fill_wait(self):
         one_frame_s = pipeline.emulated_latency(PACED_CONFIG.latency_for(Precision.FULL), 1) / 1000
         assert PACED_PERIOD_S > one_frame_s
-        outputs, report, latency = paced_run(monkeypatch, cap=3)
+        outputs, report, latency = paced_run(ExecutionMode.PARALLEL)
         assert report.batches == len(outputs) == 16
         fill_wait_s = (PACED_BATCH - 1) * PACED_PERIOD_S
         assert max(latency) < fill_wait_s, latency
 
 
-class TestThreadCap:
-    def test_paced_source_keeps_output_at_every_cap(self, monkeypatch, tmp_path):
+class TestLayouts:
+    @pytest.mark.parametrize("execution, batch, workers", [
+        (ExecutionMode.SERIAL, 1, 0),
+        (ExecutionMode.BATCHED_SERIAL, 4, 0),
+        (ExecutionMode.PARALLEL, 4, 2),
+    ])
+    def test_only_parallel_runs_worker_threads(self, execution, batch, workers):
+        stepped = threading.Event()
+
+        class SignallingTracker(Tracker):
+            def step(self, frame_index, detections):
+                output = super().step(frame_index, detections)
+                stepped.set()
+                return output
+
+        scenario = fast_scenario(objects=2, frames=12)
+        counts = []
+
+        def counting_source():
+            for frame_index, raw in scenario_frames(scenario, 1):
+                if frame_index == 8:
+                    # A frame has been tracked, so every stage has started.
+                    assert stepped.wait(timeout=10)
+                    counts.append(threading.active_count())
+                yield frame_index, raw
+
+        before = threading.active_count()
+        run(counting_source(), SignallingTracker(TrackerConfig(embedding_dim=DIM)),
+            PipelineMode(execution, Precision.FULL, batch), FAST)
+        assert counts == [before + workers]
+        assert threading.active_count() == before
+
+    def test_paced_source_keeps_output_in_every_mode(self, tmp_path):
         reference, _ = run_mode(
             fast_scenario(objects=4, frames=16, noise=NoiseParams(sigma_box=0.5)),
             ExecutionMode.SERIAL,
@@ -567,32 +590,11 @@ class TestThreadCap:
         write_mot_results(tmp_path / "serial.txt", reference)
         expected = (tmp_path / "serial.txt").read_bytes()
         assert expected
-        for cap in (1, 2, 3):
-            outputs, report, _ = paced_run(monkeypatch, cap)
-            write_mot_results(tmp_path / f"cap{cap}.txt", outputs)
-            assert (tmp_path / f"cap{cap}.txt").read_bytes() == expected, cap
-            assert report.batches == (16 if cap == 3 else 4), cap
-
-    def test_capped_to_two_threads_keeps_output(self, monkeypatch):
-        scenario = fast_scenario(objects=4, frames=25)
-        reference, _ = run_mode(scenario, ExecutionMode.PARALLEL, batch=3)
-        monkeypatch.setenv("TRACKFORGE_THREADS", "2")
-        capped, report = run_mode(scenario, ExecutionMode.PARALLEL, batch=3)
-        assert capped == reference
-        assert report.max_q1 == 0  # capture merged into the inference stage
-
-    def test_capped_to_one_thread_keeps_output(self, monkeypatch):
-        scenario = fast_scenario(objects=4, frames=25)
-        reference, _ = run_mode(scenario, ExecutionMode.PARALLEL, batch=3)
-        monkeypatch.setenv("TRACKFORGE_THREADS", "1")
-        capped, _ = run_mode(scenario, ExecutionMode.PARALLEL, batch=3)
-        assert capped == reference
-
-    def test_invalid_value_rejected(self, monkeypatch):
-        scenario = fast_scenario(objects=2, frames=5)
-        monkeypatch.setenv("TRACKFORGE_THREADS", "many")
-        with pytest.raises(ConfigError):
-            run_mode(scenario, ExecutionMode.PARALLEL, batch=2)
+        for execution, batches in zip(LAYOUTS, (4, 16)):
+            outputs, report, _ = paced_run(execution)
+            write_mot_results(tmp_path / f"{execution.value}.txt", outputs)
+            assert (tmp_path / f"{execution.value}.txt").read_bytes() == expected, execution
+            assert report.batches == batches, execution
 
 
 class FakeClock:

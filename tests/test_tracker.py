@@ -13,7 +13,12 @@ from trackforge.core import (
     normalize,
 )
 from trackforge.detgen import NoiseParams, make_scenario, generate_frame, scenario_ground_truth
-from trackforge.errors import DegenerateEmbeddingError, DimensionError, OrderingError
+from trackforge.errors import (
+    DegenerateEmbeddingError,
+    DimensionError,
+    InvalidBoxError,
+    OrderingError,
+)
 from trackforge.moteval import evaluate, outputs_to_frames
 from trackforge.motion import KalmanFilter
 from trackforge.postproc import parse_output
@@ -83,6 +88,39 @@ class TestStepBasics:
             tracker.step(5, frame_of())
         with pytest.raises(OrderingError):
             tracker.step(3, frame_of())
+
+    def test_rejected_frame_can_be_retried(self):
+        tracker = Tracker(config())
+        good = frame_of(det(100, 100, unit(0)))
+        with pytest.raises(DimensionError):
+            tracker.step(0, replace(good, embeddings=good.embeddings[:, :-1]))
+        out = tracker.step(0, good)
+        assert [r[0] for r in out.records] == [1]
+
+    # Each box is finite with positive size, so parse_output accepts it, but its
+    # measurement is not: the aspect overflows or underflows to 0, or the
+    # center overflows.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "box", [(0, 0, 1e200, 1e-200), (0, 0, 1e-200, 1e200), (1.7e308, 0, 1e308, 1)]
+    )
+    def test_box_without_measurement_rejected_before_any_change(self, box):
+        tracker = Tracker(config())
+        tracker.step(0, frame_of(det(100, 100, unit(0))))
+        tracks = [replace(track) for track in tracker.tracks]
+        mean, covariance = tracker.kalman.mean.copy(), tracker.kalman.covariance.copy()
+        embeddings = tracker.embeddings.copy()
+        x, y, w, h = box
+        batch = frame_of(
+            det(100, 100, unit(0)), det(x, y, unit(1), w=w, h=h), det(x, y, unit(2), w=w, h=h)
+        )
+        with pytest.raises(InvalidBoxError, match=r"^row 1: "):
+            tracker.step(1, batch)
+        assert tracker.tracks == tracks
+        assert np.array_equal(tracker.kalman.mean, mean)
+        assert np.array_equal(tracker.kalman.covariance, covariance)
+        assert np.array_equal(tracker.embeddings, embeddings)
+        assert (tracker._next_id, tracker._last_frame) == (2, 0)
 
     def test_missing_embedding_rejected(self):
         tracker = Tracker(config())
