@@ -134,17 +134,44 @@ def _boxes(values) -> np.ndarray:
 
 def box_to_measurement(tlwh: np.ndarray) -> np.ndarray:
     """Convert tlwh boxes ``(..., 4)`` to Kalman measurements (cx, cy, aspect, h)."""
-    x, y, w, h = np.moveaxis(np.asarray(tlwh, dtype=np.float64), -1, 0)
-    return np.stack([x + w / 2.0, y + h / 2.0, w / h, h], axis=-1)
+    box = _last_axis_4(tlwh)
+    out = np.empty(box.shape)
+    out[..., 0] = box[..., 0] + box[..., 2] / 2.0
+    out[..., 1] = box[..., 1] + box[..., 3] / 2.0
+    out[..., 2] = box[..., 2] / box[..., 3]
+    out[..., 3] = box[..., 3]
+    return out
+
+
+def measurements_to_boxes(measurements: np.ndarray) -> list[BoundingBox]:
+    """Inverse of :func:`box_to_measurement` on an ``(M, 4)`` stack, one box per row.
+
+    The conversion runs once over the stack; a row implying a non-positive
+    width or height raises InvalidBoxError, a non-finite one as BoundingBox does.
+    """
+    m = _last_axis_4(measurements).reshape(-1, 4)
+    tlwh = np.empty(m.shape)
+    tlwh[:, 2] = m[:, 2] * m[:, 3]
+    tlwh[:, 0] = m[:, 0] - tlwh[:, 2] / 2.0
+    tlwh[:, 1] = m[:, 1] - m[:, 3] / 2.0
+    tlwh[:, 3] = m[:, 3]
+    bad = (tlwh[:, 3] <= 0) | (tlwh[:, 2] <= 0)
+    if bad.any():
+        _, _, aspect, h = m[int(np.argmax(bad))].tolist()
+        raise InvalidBoxError(f"measurement implies non-positive size: aspect={aspect}, h={h}")
+    return [BoundingBox(*row) for row in tlwh.tolist()]
 
 
 def measurement_to_box(measurement: np.ndarray) -> BoundingBox:
-    """Inverse of :func:`box_to_measurement`; raises on non-positive size."""
-    cx, cy, aspect, h = (float(v) for v in measurement)
-    w = aspect * h
-    if h <= 0 or w <= 0:
-        raise InvalidBoxError(f"measurement implies non-positive size: aspect={aspect}, h={h}")
-    return BoundingBox(cx - w / 2.0, cy - h / 2.0, w, h)
+    """Inverse of :func:`box_to_measurement` for one measurement."""
+    return measurements_to_boxes(measurement)[0]
+
+
+def _last_axis_4(values) -> np.ndarray:
+    array = np.asarray(values, dtype=np.float64)
+    if array.shape[-1:] != (4,):
+        raise DimensionError(f"expected a last axis of 4 box values, got shape {array.shape}")
+    return array
 
 
 def row_norms(values: np.ndarray) -> np.ndarray:

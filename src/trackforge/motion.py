@@ -12,6 +12,14 @@ is the same arithmetic as its slices. The 4x4 innovation covariances are
 factored with one batched Cholesky call; a covariance that is singular or not
 finite in any row raises :class:`NumericError`.
 
+A :class:`Projection` keeps that factored projection, so one frame projects
+and factors its tracks once: the tracker gathers the rows of the track and
+measurement pairs it gates (``take``, then ``distance``) and of the tracks it
+updates (``update(..., projection)``). ``gating_distance`` and ``update`` run
+the same arithmetic on a projection they make themselves, and a distance is
+summed in a fixed order, so a pair's distance is the same bits whether it is
+computed alone or in a ``(T, N)`` matrix.
+
 All operations are value-in/value-out: states are never mutated, so a state
 can be shared or replayed freely.
 """
@@ -29,6 +37,8 @@ from .errors import InvalidMeasurementError, NumericError
 CHI2_GATE_95_4DOF = 9.4877
 
 _DIM = 4  # measurement dimension; state is 2 * _DIM
+# Slack on the centre bound of Projection.gate_radius2 that covers its rounding.
+_BOUND_MARGIN = 1.01
 _MEASURE_DIAG = np.arange(_DIM)
 _STATE_DIAG = np.arange(2 * _DIM)
 
@@ -59,6 +69,44 @@ class KalmanState:
 
     mean: np.ndarray
     covariance: np.ndarray
+
+
+@dataclass(frozen=True)
+class Projection:
+    """States in measurement space: mean ``(..., 4)``, innovation covariance
+    ``(..., 4, 4)`` and its lower Cholesky factor ``chol``; the leading axes
+    are those of the projected state."""
+
+    mean: np.ndarray
+    covariance: np.ndarray
+    chol: np.ndarray
+
+    def take(self, rows) -> Projection:
+        """The projections of the selected rows of a stack."""
+        return Projection(self.mean[rows], self.covariance[rows], self.chol[rows])
+
+    def distance(self, measurements: np.ndarray) -> np.ndarray:
+        """Squared Mahalanobis distance of ``(..., N, 4)`` measurements: ``(..., N)``.
+
+        The measurements broadcast against the leading axes, so ``(N, 4)``
+        against a stack of T gives ``(T, N)``, and ``(K, 1, 4)`` against K
+        gathered rows gives one distance per pair, ``(K, 1)``.
+        """
+        d = np.asarray(measurements, dtype=np.float64) - self.mean[..., None, :]
+        solved = _forward_substitute(self.chol, _swap(d))
+        # An explicit left-to-right sum: np.sum may pick its order by shape.
+        squares = solved * solved
+        return squares[..., 0, :] + squares[..., 1, :] + squares[..., 2, :] + squares[..., 3, :]
+
+    def gate_radius2(self, threshold: float) -> np.ndarray:
+        """Per row, a squared centre distance that no measurement within the gate exceeds.
+
+        For positive definite S, ``dᵀS⁻¹d >= |d|²/λ_max(S) >= (dx² + dy²)/trace(S)``,
+        so a measurement whose centre lies farther than this from the
+        projected centre has a distance above ``threshold``.
+        """
+        trace = np.trace(self.covariance, axis1=-2, axis2=-1)
+        return _BOUND_MARGIN * threshold * trace
 
 
 class KalmanFilter:
@@ -128,20 +176,27 @@ class KalmanFilter:
         cov[..., _MEASURE_DIAG, _MEASURE_DIAG] += std**2
         return mean, cov
 
-    def update(self, state: KalmanState, measurement: np.ndarray) -> KalmanState:
+    def factor(self, state: KalmanState) -> Projection:
+        """Project the state and factor every innovation covariance in one Cholesky call."""
+        mean, cov = self.project(state)
+        return Projection(mean, cov, _cholesky(cov, "innovation covariance"))
+
+    def update(
+        self, state: KalmanState, measurement: np.ndarray, projection: Projection | None = None
+    ) -> KalmanState:
         """Condition the state on a measurement; shrinks measured-subspace variance.
 
         ``measurement`` is ``(4,)`` for one track, ``(T, 4)`` for a stack.
+        ``projection`` is ``factor(state)`` when the caller has it already.
         """
         z = np.asarray(measurement, dtype=np.float64)
-        projected_mean, projected_cov = self.project(state)
-        chol = _cholesky(projected_cov, "innovation covariance")
+        p = self.factor(state) if projection is None else projection
         # gain = P H^T S^-1 = X^T for S X = H P, solved with S = L L^T (P is symmetric).
         cross = self._observe @ state.covariance
-        gain = _swap(_back_substitute(chol, _forward_substitute(chol, cross)))
-        innovation = z - projected_mean
+        gain = _swap(_back_substitute(p.chol, _forward_substitute(p.chol, cross)))
+        innovation = z - p.mean
         mean = state.mean + (gain @ innovation[..., None])[..., 0]
-        covariance = state.covariance - gain @ projected_cov @ _swap(gain)
+        covariance = state.covariance - gain @ p.covariance @ _swap(gain)
         return KalmanState(mean=mean, covariance=_symmetrize(covariance))
 
     def gating_distance(self, state: KalmanState, measurements: np.ndarray) -> np.ndarray:
@@ -151,11 +206,7 @@ class KalmanFilter:
         for one track and (T, N) for a stack of T.
         """
         z = np.atleast_2d(np.asarray(measurements, dtype=np.float64))
-        projected_mean, projected_cov = self.project(state)
-        chol = _cholesky(projected_cov, "projected covariance")
-        d = z - projected_mean[..., None, :]
-        solved = _forward_substitute(chol, _swap(d))
-        return np.sum(solved * solved, axis=-2)
+        return self.factor(state).distance(z)
 
 
 def _swap(matrix: np.ndarray) -> np.ndarray:

@@ -7,8 +7,10 @@ from trackforge.assoc import (
     Assignment,
     apply_gate,
     build_cost_matrix,
+    candidate_pairs,
     hungarian_solve,
     match_with_threshold,
+    pair_costs,
 )
 from trackforge.core import cosine_distance, normalize
 from trackforge.errors import DimensionError
@@ -65,6 +67,79 @@ class TestBuildCostMatrix:
             build_cost_matrix(np.ones((2, 4)), np.ones((3, 5)))
 
 
+class TestPairCosts:
+    def test_matches_cost_matrix_entries(self):
+        rng = np.random.default_rng(13)
+        tracks = normalize(rng.standard_normal((6, 64)))
+        dets = normalize(rng.standard_normal((5, 64)))
+        rows, cols = rng.integers(0, 6, 20), rng.integers(0, 5, 20)
+        costs = pair_costs(tracks[rows], dets[cols])
+        assert costs.shape == (20,) and costs.dtype == np.float64
+        np.testing.assert_allclose(costs, build_cost_matrix(tracks, dets)[rows, cols],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(pair_costs(tracks[:1], tracks[:1]) >= 0.0, [True])
+
+    def test_pair_cost_does_not_depend_on_neighbours(self):
+        rng = np.random.default_rng(14)
+        tracks = normalize(rng.standard_normal((40, 512)))
+        dets = normalize(rng.standard_normal((40, 512)))
+        costs = pair_costs(tracks, dets)
+        alone = [pair_costs(tracks[k:k + 1], dets[k:k + 1])[0] for k in range(40)]
+        np.testing.assert_array_equal(costs, alone)
+        np.testing.assert_array_equal(costs[7:], pair_costs(tracks[7:], dets[7:]))
+        # float32 rows cost what their float64 casts cost
+        np.testing.assert_array_equal(
+            costs, pair_costs(tracks.astype(np.float64), dets.astype(np.float64))
+        )
+
+    def test_empty_and_mismatched(self):
+        assert pair_costs(np.zeros((0, 8)), np.zeros((0, 8))).shape == (0,)
+        with pytest.raises(DimensionError):
+            pair_costs(np.ones((2, 4)), np.ones((3, 4)))
+        with pytest.raises(DimensionError):
+            pair_costs(np.ones((2, 4)), np.ones((2, 5)))
+
+
+def _dense_candidates(tracks, dets, radius2):
+    delta = tracks[:, None, :] - dets[None, :, :]
+    centre2 = delta[..., 0] * delta[..., 0] + delta[..., 1] * delta[..., 1]
+    rows, cols = np.nonzero(centre2 <= radius2[:, None])
+    return rows, cols, centre2[rows, cols]
+
+
+class TestCandidatePairs:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 12),
+        st.integers(0, 12),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1.0, 1e3, 1e6]),
+        st.sampled_from(["random", "zero", "on", "below", "above"]),
+    )
+    def test_same_pairs_and_bits_as_dense(self, n_tracks, n_dets, seed, scale, radius):
+        rng = np.random.default_rng(seed)
+        tracks = rng.uniform(-1, 1, (n_tracks, 2)) * scale
+        dets = rng.uniform(-1, 1, (n_dets, 2)) * scale
+        if n_tracks and n_dets:  # shared and repeated centres
+            dets[rng.random(n_dets) < 0.3] = tracks[rng.integers(0, n_tracks)]
+            dets[rng.random(n_dets) < 0.3, 0] = dets[0, 0]
+        radius2 = rng.uniform(0, 0.5, n_tracks) * scale**2
+        if radius == "zero":
+            radius2[:] = 0.0
+        elif radius != "random" and n_dets:
+            # Each track's radius lands on its distance to one detection, or one ulp off it.
+            _, _, exact = _dense_candidates(tracks, dets, np.full(n_tracks, np.inf))
+            radius2 = exact.reshape(n_tracks, n_dets)[np.arange(n_tracks),
+                                                      rng.integers(0, n_dets, n_tracks)]
+            if radius != "on":
+                radius2 = np.nextafter(radius2, 0.0 if radius == "below" else np.inf)
+        rows, cols, centre2 = candidate_pairs(tracks, dets, radius2)
+        order = np.lexsort((cols, rows))
+        expected = _dense_candidates(tracks, dets, radius2)
+        for got, want in zip((rows[order], cols[order], centre2[order]), expected):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestApplyGate:
     def test_all_pass(self):
         cost = np.array([[0.1, 0.2], [0.3, 0.4]])
@@ -119,6 +194,16 @@ class TestHungarianSolve:
     def test_empty_matrix(self):
         result = hungarian_solve(np.zeros((0, 3)))
         assert result.matches == [] and result.unmatched_detections == [0, 1, 2]
+
+    def test_result_holds_python_numbers_in_order(self):
+        cost = np.array([[np.inf, 0.5, np.inf], [0.25, np.inf, np.inf],
+                         [np.inf, np.inf, np.inf], [np.inf, 0.1, np.inf]])
+        result = hungarian_solve(cost)
+        assert result.matches == [(1, 0, 0.25), (3, 1, 0.1)]
+        assert result.unmatched_tracks == [0, 2]
+        assert result.unmatched_detections == [2]
+        for value in (*result.matches[0], *result.unmatched_tracks):
+            assert type(value) in (int, float)
 
     def test_random_square_matches_brute_force(self):
         rng = np.random.default_rng(2)

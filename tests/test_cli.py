@@ -329,6 +329,35 @@ class TestConfigFile:
         ])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "tracker",
+        [
+            '{"max_cost": null}',
+            '{"max_cost": -1}',
+            '{"gate_threshold": "9"}',
+            '{"gate_threshold": NaN}',
+            '{"gate_threshold": -1}',
+            '{"gate_metric": "bogus"}',
+            '{"conf_threshold": 2}',
+            '{"nms_iou": 1}',
+            '{"smoothing_alpha": 7}',
+            '{"max_lost": -1}',
+            '{"min_hits": 0}',
+            '{"min_hits": Infinity}',
+        ],
+    )
+    def test_bad_tracker_value_exits_two(self, runner, tmp_path, tracker):
+        runner.invoke(main, synth_args(tmp_path, frames=5))
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"tracker": {tracker}}}')
+        result = runner.invoke(main, [
+            "track", "--scenario", str(tmp_path / "scen.json"),
+            "--config", str(bad), "--out", str(tmp_path / "res.txt"),
+        ])
+        assert result.exit_code == 2, result.output
+        field = json.loads(tracker.replace("NaN", "0").replace("Infinity", "0")).popitem()[0]
+        assert field.replace("_", " " if field == "gate_metric" else "_") in result.output
+
     def test_removed_busy_wait_key_exits_two(self, runner, tmp_path):
         runner.invoke(main, synth_args(tmp_path, frames=5))
         bad = tmp_path / "bad.json"

@@ -13,6 +13,7 @@ from trackforge.core import (
     iou,
     iou_matrix,
     measurement_to_box,
+    measurements_to_boxes,
     normalize,
     quantize_binary16,
     row_norms,
@@ -116,6 +117,46 @@ class TestMeasurementConversion:
             measurement_to_box(np.array([0.0, 0.0, 1.0, 0.0]))
         with pytest.raises(InvalidBoxError):
             measurement_to_box(np.array([0.0, 0.0, -1.0, 2.0]))
+
+    @given(
+        st.sampled_from([(), (1,), (7,), (3, 5), (2, 1, 4)]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_separate_column_formula(self, lead, seed):
+        rng = np.random.default_rng(seed)
+        tlwh = rng.uniform(-1e3, 1e3, lead + (4,))
+        tlwh[..., 2:] = rng.uniform(1e-3, 1e3, lead + (2,))
+        x, y, w, h = np.moveaxis(tlwh, -1, 0)
+        expected = np.stack([x + w / 2.0, y + h / 2.0, w / h, h], axis=-1)
+        measured = box_to_measurement(tlwh)
+        assert measured.shape == expected.shape
+        np.testing.assert_array_equal(measured, expected)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 5), (4, 0)])
+    def test_wrong_last_axis_rejected(self, shape):
+        with pytest.raises(DimensionError):
+            box_to_measurement(np.ones(shape))
+        with pytest.raises(DimensionError):
+            measurements_to_boxes(np.ones(shape))
+
+    @given(st.lists(boxes, max_size=8))
+    def test_stacked_boxes_equal_one_row_formula(self, stack):
+        measured = box_to_measurement(np.array([box.as_tlwh() for box in stack]).reshape(-1, 4))
+        converted = measurements_to_boxes(measured)
+        assert len(converted) == len(stack)
+        for row, box in zip(measured, converted):
+            cx, cy, aspect, h = (float(v) for v in row)
+            w = aspect * h
+            assert box == BoundingBox(cx - w / 2.0, cy - h / 2.0, w, h)
+            assert box == measurement_to_box(row)
+
+    def test_stack_rejects_any_bad_row(self):
+        good = box_to_measurement(np.array([[0.0, 0.0, 4.0, 8.0]]))
+        for bad in ([0.0, 0.0, 1.0, 0.0], [0.0, 0.0, -1.0, 2.0]):
+            with pytest.raises(InvalidBoxError):
+                measurements_to_boxes(np.vstack([good, bad, good]))
+        with pytest.raises(InvalidBoxError):
+            measurements_to_boxes(np.array([[np.inf, 0.0, 1.0, 2.0]]))
 
 
 def _unit(values):

@@ -246,3 +246,42 @@ class TestBatched:
             kf.gating_distance(broken, zs)
         with pytest.raises(NumericError):
             kf.update(broken, zs[[0, 1, 2, 0]])
+
+
+class TestProjection:
+    def test_update_with_shared_projection_is_bit_identical(self, kf):
+        rng = np.random.default_rng(40)
+        states = stack([kf.predict(s) for s in random_states(kf, rng, 6)])
+        zs = states.mean[:, :4] + rng.normal(0, 2, (6, 4))
+        rows = [4, 1, 3]
+        own = kf.update(KalmanState(states.mean[rows], states.covariance[rows]), zs[rows])
+        shared = kf.update(
+            KalmanState(states.mean[rows], states.covariance[rows]), zs[rows],
+            kf.factor(states).take(rows),
+        )
+        np.testing.assert_array_equal(shared.mean, own.mean)
+        np.testing.assert_array_equal(shared.covariance, own.covariance)
+
+    def test_gathered_pairs_equal_dense_distances(self, kf):
+        rng = np.random.default_rng(41)
+        states = stack([kf.predict(s) for s in random_states(kf, rng, 5)])
+        zs = np.stack([random_measurement(rng) for _ in range(7)])
+        dense = kf.gating_distance(states, zs)
+        rows, cols = np.nonzero(np.ones(dense.shape, dtype=bool))
+        pairs = kf.factor(states).take(rows).distance(zs[cols, None])
+        assert pairs.shape == (35, 1)
+        np.testing.assert_array_equal(pairs[:, 0], dense[rows, cols])
+
+    @pytest.mark.parametrize("threshold", [1.0, CHI2_GATE_95_4DOF, 100.0])
+    def test_gate_radius_holds_every_pair_inside_the_gate(self, kf, threshold):
+        rng = np.random.default_rng(42)
+        states = stack([kf.predict(s) for s in random_states(kf, rng, 30)])
+        zs = states.mean[rng.integers(0, 30, 200), :4] + rng.normal(0, 6, (200, 4))
+        zs[:, 2:] = np.abs(zs[:, 2:]) + 0.1
+        projection = kf.factor(states)
+        dense = projection.distance(zs)
+        delta = states.mean[:, None, :2] - zs[None, :, :2]
+        centre2 = np.sum(delta * delta, axis=2)
+        inside = dense <= threshold
+        radius2 = np.broadcast_to(projection.gate_radius2(threshold)[:, None], dense.shape)
+        assert inside.any() and np.all(centre2[inside] <= radius2[inside])

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trackforge.assoc as assoc_module
+import trackforge.tracker as tracker_module
+from trackforge.assoc import apply_gate, build_cost_matrix, hungarian_solve, match_with_threshold
 from trackforge.core import (
     BoundingBox,
     DetectionBatch,
@@ -14,15 +17,24 @@ from trackforge.core import (
 )
 from trackforge.detgen import NoiseParams, make_scenario, generate_frame, scenario_ground_truth
 from trackforge.errors import (
+    ConfigError,
     DegenerateEmbeddingError,
     DimensionError,
     InvalidBoxError,
+    NumericError,
     OrderingError,
 )
 from trackforge.moteval import evaluate, outputs_to_frames
-from trackforge.motion import KalmanFilter
+from trackforge.motion import CHI2_GATE_95_4DOF, KalmanFilter, KalmanState
 from trackforge.postproc import parse_output
-from trackforge.tracker import Tracker, TrackerConfig, TrackState, smooth_embedding
+from trackforge.tracker import (
+    GATE_METRICS,
+    Track,
+    Tracker,
+    TrackerConfig,
+    TrackState,
+    smooth_embedding,
+)
 
 DIM = 16
 
@@ -401,3 +413,217 @@ class TestColumnarStep:
         out = Tracker(config()).step(0, batch)
         assert taken == [2]
         assert [record[2] for record in out.records] == [0.9, 0.9]
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("conf_threshold", None),
+            ("conf_threshold", "0.5"),
+            ("conf_threshold", float("nan")),
+            ("conf_threshold", -0.1),
+            ("conf_threshold", 1.5),
+            ("conf_threshold", True),
+            ("nms_iou", 0.0),
+            ("nms_iou", 1.0),
+            ("nms_iou", float("inf")),
+            ("max_cost", None),
+            ("max_cost", -0.1),
+            ("max_cost", float("nan")),
+            ("gate_threshold", "9"),
+            ("gate_threshold", -1.0),
+            ("gate_threshold", float("nan")),
+            ("gate_threshold", float("inf")),
+            ("smoothing_alpha", 7),
+            ("smoothing_alpha", -0.5),
+            ("smoothing_alpha", float("nan")),
+            ("max_lost", -1),
+            ("max_lost", None),
+            ("max_lost", float("inf")),
+            ("min_hits", 0),
+            ("min_hits", "3"),
+            ("embedding_dim", -5),
+            ("embedding_dim", 0),
+            ("embedding_dim", 16.0),
+            ("embedding_dim", True),
+            ("embedding_dim", "16"),
+            ("gate_metric", "bogus"),
+            ("gate_metric", None),
+        ],
+    )
+    def test_bad_value_rejected_at_construction(self, field, value):
+        with pytest.raises(ConfigError, match=field.replace("_", " ") if field == "gate_metric"
+                           else field):
+            TrackerConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(conf_threshold=0, max_cost=0, gate_threshold=0, smoothing_alpha=0, max_lost=0),
+            dict(conf_threshold=1.0, nms_iou=0.999, smoothing_alpha=1, min_hits=1),
+            dict(conf_threshold=np.float32(0.25), max_cost=np.float64(2.0),
+                 embedding_dim=np.int64(8)),
+            dict(gate_metric="euclidean", gate_threshold=10**6, max_lost=10**6, min_hits=2.5),
+        ],
+    )
+    def test_edge_values_accepted(self, overrides):
+        Tracker(TrackerConfig(**overrides))
+
+
+def _random_kalman(rng, count):
+    """``count`` tracks a few random predict/update cycles old, near each other."""
+    kf = KalmanFilter()
+    means, covariances = [], []
+    for _ in range(count):
+        z = np.array([rng.uniform(0, 200), rng.uniform(0, 200), rng.uniform(0.3, 1.0),
+                      rng.uniform(20, 120)])
+        state = kf.initiate(z)
+        for _ in range(rng.integers(0, 4)):
+            state = kf.predict(state)
+            z = state.mean[:4] + rng.normal(0.0, 2.0, 4) * [1, 1, 0.01, 1]
+            state = kf.update(state, z)
+        state = kf.predict(state)
+        means.append(state.mean)
+        covariances.append(state.covariance)
+    return KalmanState(np.array(means), np.array(covariances))
+
+
+def _dense_gate(tracker, measurements):
+    """The gate distances of every pair, as association computed them before it was sparse."""
+    if tracker.config.gate_metric == "mahalanobis":
+        return tracker._filter.gating_distance(tracker.kalman, measurements)
+    delta = tracker.kalman.mean[:, None, :2] - measurements[None, :, :2]
+    return np.sum(delta * delta, axis=2)
+
+
+class TestSparseGate:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_tracks=st.integers(1, 8),
+        n_dets=st.integers(1, 10),
+        metric=st.sampled_from(GATE_METRICS),
+        boundary=st.sampled_from(["none", "on", "below", "above"]),
+        pick=st.integers(0, 10**6),
+        spread=st.sampled_from([0.5, 5.0, 20.0, 80.0]),
+    )
+    def test_sparse_gate_equals_dense(self, seed, n_tracks, n_dets, metric, boundary, pick,
+                                      spread):
+        rng = np.random.default_rng(seed)
+        kalman = _random_kalman(rng, n_tracks)
+        near = kalman.mean[rng.integers(0, n_tracks, n_dets), :4]
+        measurements = near + rng.normal(0.0, spread, (n_dets, 4)) * [1, 1, 0.01, 0.1]
+        measurements[:, 2:] = np.abs(measurements[:, 2:]) + 0.1
+        probe = Tracker(config(gate_metric=metric))
+        probe.kalman = kalman
+        dense = _dense_gate(probe, measurements)
+        # A gate exactly on one pair's distance, one ulp either side of it, or the default.
+        threshold = float(dense.flat[pick % dense.size])
+        if boundary == "none":
+            threshold = CHI2_GATE_95_4DOF if metric == "mahalanobis" else 400.0
+        elif boundary != "on":
+            toward = 0.0 if boundary == "below" else np.inf
+            threshold = max(float(np.nextafter(threshold, toward)), 0.0)
+        tracker = Tracker(config(gate_metric=metric, gate_threshold=threshold))
+        tracker.tracks = [Track(i + 1, TrackState.ACTIVE, 0) for i in range(n_tracks)]
+        tracker.kalman = kalman
+
+        _, rows, cols, distance = tracker._gate(measurements)
+        np.testing.assert_array_equal(distance, dense[rows, cols])
+        sparse = np.full(dense.shape, np.inf)
+        sparse[rows, cols] = distance
+        np.testing.assert_array_equal(
+            np.where(sparse > threshold, np.inf, sparse),
+            np.where(dense > threshold, np.inf, dense),
+        )
+
+    @pytest.mark.parametrize("metric", GATE_METRICS)
+    def test_bad_covariance_without_candidates_raises(self, metric):
+        tracker = Tracker(config(gate_metric=metric))
+        tracker.step(0, frame_of(det(100, 100, unit(0)), det(1000, 100, unit(1))))
+        tracker.kalman.covariance[1, 0, 0] = np.nan
+        # The one detection is far from the broken track, so no pair involves it.
+        with pytest.raises(NumericError):
+            tracker.step(1, frame_of(det(101, 100, unit(0))))
+
+    def test_step_builds_no_dense_cost_matrix(self, monkeypatch):
+        def dense(*args, **kwargs):
+            raise AssertionError("step built a dense cost matrix")
+
+        monkeypatch.setattr(tracker_module, "build_cost_matrix", dense)
+        monkeypatch.setattr(assoc_module, "build_cost_matrix", dense)
+        tracker = Tracker(config())
+        rng = np.random.default_rng(4)
+        for frame in range(6):
+            raw = _raw_frame(frame, [(slot, 0.9, slot % 4) for slot in range(6)], rng)
+            out = tracker.step(frame, parse_output(raw, DIM))
+            assert len(out.records) == 6
+        assert [t.hits for t in tracker.tracks] == [6] * 6
+
+
+class _Unfactored:
+    """Stands in for a frame's projection: ``take`` gives None, so each
+    update factors its own rows, as the update did before the projection was shared."""
+
+    def take(self, rows):
+        return None
+
+
+class DenseTracker(Tracker):
+    """The tracker with association as it was before it was sparse: the whole
+    (T, N) cost matrix, the whole gate matrix, then the assignment."""
+
+    def _associate(self, measurements, det_embeddings):
+        cfg = self.config
+        if not (len(self.tracks) and len(measurements)):
+            cost = np.zeros((len(self.tracks), len(measurements)))
+        else:
+            cost = build_cost_matrix(self.embeddings, det_embeddings)
+            cost = apply_gate(cost, _dense_gate(self, measurements), cfg.gate_threshold)
+        return match_with_threshold(hungarian_solve(cost), cost, cfg.max_cost), _Unfactored()
+
+
+def _stream(rng, n_objects, n_frames):
+    """Objects drifting in a small area, with misses, clutter and embedding noise."""
+    start = rng.uniform(0, 300, (n_objects, 2))
+    velocity = rng.normal(0.0, 3.0, (n_objects, 2))
+    identity = rng.integers(0, DIM, n_objects)
+    for frame in range(n_frames):
+        rows = []
+        for k in range(n_objects):
+            if rng.random() < 0.15:
+                continue
+            x, y = start[k] + velocity[k] * frame + rng.normal(0.0, 1.5, 2)
+            emb = np.zeros(DIM)
+            emb[identity[k]] = 1.0
+            rows.append(det(x, y, emb + rng.normal(0.0, 0.1, DIM), objectness=0.9))
+        for _ in range(rng.poisson(1.0)):
+            x, y = rng.uniform(0, 300, 2)
+            rows.append(det(x, y, rng.normal(0.0, 1.0, DIM), objectness=0.8))
+        yield frame, parse_output(np.reshape(rows, (-1, 6 + DIM)), DIM)
+
+
+class TestSparseMatchesDense:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_objects=st.integers(1, 10),
+        n_frames=st.integers(2, 12),
+        metric=st.sampled_from(GATE_METRICS),
+        wide=st.booleans(),
+        max_cost=st.sampled_from([0.3, 0.7, 1.5]),
+    )
+    def test_step_matches_dense_reference(self, seed, n_objects, n_frames, metric, wide,
+                                          max_cost):
+        gate = {"mahalanobis": (CHI2_GATE_95_4DOF, 50.0), "euclidean": (100.0, 2500.0)}
+        cfg = config(gate_metric=metric, gate_threshold=gate[metric][wide], max_cost=max_cost,
+                     max_lost=3)
+        sparse, dense = Tracker(cfg), DenseTracker(cfg)
+        for frame, batch in _stream(np.random.default_rng(seed), n_objects, n_frames):
+            assert sparse.step(frame, batch) == dense.step(frame, batch)
+            assert sparse.tracks == dense.tracks
+            np.testing.assert_array_equal(sparse.kalman.mean, dense.kalman.mean)
+            np.testing.assert_array_equal(sparse.kalman.covariance, dense.kalman.covariance)
+            np.testing.assert_array_equal(sparse.embeddings, dense.embeddings)
+        assert sparse.embeddings.dtype == np.float32
