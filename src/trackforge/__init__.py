@@ -36,7 +36,7 @@ from .pipeline import (
     run,
 )
 from .postproc import filter_confidence, nms, parse_output, serialize_detections
-from .tracker import Track, Tracker, TrackerConfig, TrackerOutput, TrackState, smooth_embedding
+from .tracker import Tracker, TrackerConfig, TrackerOutput, Tracks, smooth_embedding
 
 __version__ = "0.1.0"
 
@@ -59,11 +59,10 @@ __all__ = [
     "ScenarioConfig",
     "ScenarioObject",
     "StageQueue",
-    "Track",
-    "TrackState",
     "Tracker",
     "TrackerConfig",
     "TrackerOutput",
+    "Tracks",
     "apply_gate",
     "batcher",
     "box_to_measurement",

@@ -119,26 +119,23 @@ class KalmanFilter:
         self._observe = np.eye(_DIM, 2 * _DIM)
 
     def initiate(self, measurement: np.ndarray) -> KalmanState:
-        """Create a single-track state from an unassociated measurement, zero velocity."""
+        """States with zero velocity for unassociated measurements: ``(4,)`` gives
+        one track, ``(B, 4)`` a stack of B, each row the same bits as alone."""
         z = np.asarray(measurement, dtype=np.float64)
-        h = float(z[3])
-        if h <= 0:
-            raise InvalidMeasurementError(f"measurement height must be positive, got {h}")
-        mean = np.concatenate([z, np.zeros(_DIM)])
-        wp, wv = self.noise.std_weight_position, self.noise.std_weight_velocity
-        std = np.array(
-            [
-                2 * wp * h,
-                2 * wp * h,
-                self.noise.std_aspect,
-                2 * wp * h,
-                10 * wv * h,
-                10 * wv * h,
-                self.noise.std_aspect_velocity,
-                10 * wv * h,
-            ]
-        )
-        return KalmanState(mean=mean, covariance=np.diag(std**2))
+        h = z[..., 3]
+        if np.any(h <= 0):
+            raise InvalidMeasurementError(
+                f"measurement height must be positive, got {float(np.min(h))}"
+            )
+        mean = np.concatenate([z, np.zeros_like(z)], axis=-1)
+        position = 2 * self.noise.std_weight_position * h
+        velocity = 10 * self.noise.std_weight_velocity * h
+        fixed = np.ones_like(h)
+        std = np.stack([position, position, self.noise.std_aspect * fixed, position, velocity,
+                        velocity, self.noise.std_aspect_velocity * fixed, velocity], axis=-1)
+        covariance = np.zeros(h.shape + (2 * _DIM, 2 * _DIM))
+        covariance[..., _STATE_DIAG, _STATE_DIAG] = std**2
+        return KalmanState(mean=mean, covariance=covariance)
 
     def predict(self, state: KalmanState) -> KalmanState:
         """Advance one frame: position += velocity, covariance grows by Q."""

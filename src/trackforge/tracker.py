@@ -1,19 +1,23 @@
-"""Per-frame tracking step and the track lifecycle state machine.
+"""Per-frame tracking step over one table of live tracks.
 
-Each `step()` call runs the full post-detection sequence: confidence filter,
-NMS, Kalman predict for every live track, motion gate, appearance cost,
-assignment, threshold rejection, then the lifecycle bookkeeping (update
-matched, mark unmatched lost, remove stale, spawn new). A tracker instance is
-strictly sequential: frame indices must increase between calls.
+Each `step()` runs the post-detection sequence: confidence filter, NMS,
+Kalman predict, motion gate, appearance cost, assignment, threshold
+rejection, then the lifecycle (update matched, mark unmatched lost, remove
+stale, spawn new). Frame indices must increase between calls.
 
-The tracker holds every live track's numeric state in stacked arrays: the
-Kalman means ``(T, 8)`` and covariances ``(T, 8, 8)`` in ``Tracker.kalman``,
-the smoothed appearance embeddings ``(T, D)``, float32 as ``normalize``
-returns them, in ``Tracker.embeddings``. Row ``i`` belongs to ``tracks[i]``,
-which keeps only the lifecycle fields; rows are dropped together with their
-tracks, and births are appended in both places. So predict, projection,
-update and embedding smoothing each run once per frame over all tracks (or
-all matched ones), never once per track.
+The live tracks are the rows of one `Tracks` table: id, hit count, last
+updated frame, the frame the track was lost in (-1 while active), Kalman
+mean ``(T, 8)`` and covariance ``(T, 8, 8)``, and the smoothed float32
+appearance embedding ``(T, D)``. Births append ascending ids and removal
+keeps row order, so rows stay sorted by id and a frame's records are the
+rows it updated, in table order. Predict, projection, update, smoothing and
+initiation each run once per frame over all the rows concerned.
+
+`step` computes the next table into locals and commits it, with the next id,
+the removed ids and the frame index, at the end, in statements that cannot
+raise. So a frame that raises, at its entry checks or later (a covariance
+that cannot be factored, a smoothed embedding that cannot be normalized),
+leaves the tracker as it was, and the frame can be retried.
 
 Association is sparse. Each frame projects all T tracks and factors their
 innovation covariances once (a bad covariance in any row raises
@@ -27,19 +31,15 @@ way gives the same distances and states, bit for bit, as the dense
 ``gating_distance`` and ``apply_gate`` over the whole (T, N) matrix; only a
 cost's dot product may round differently from ``build_cost_matrix``'s.
 
-The frame's detections arrive as one ``DetectionBatch``, and the tracker
-works on its columns: the confidence filter and NMS return row indices, the
-kept rows are copied once, and the embedding check, the measurement
-conversion, gating, costing, smoothing and the emitted boxes each take whole
-arrays, once per frame.
+The frame's detections arrive as one ``DetectionBatch``: the confidence
+filter and NMS return row indices, and the kept rows are copied once.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -55,28 +55,61 @@ from .assoc import (  # noqa: F401
     pair_costs,
 )
 from .core import BoundingBox, DetectionBatch, box_to_measurement, measurements_to_boxes, normalize
-from .errors import ConfigError, DimensionError, InvalidBoxError, OrderingError
+from .errors import (
+    ConfigError,
+    DegenerateEmbeddingError,
+    DimensionError,
+    InvalidBoxError,
+    OrderingError,
+)
 from .motion import CHI2_GATE_95_4DOF, KalmanFilter, KalmanState, MotionNoise, Projection
 from .postproc import filter_confidence, nms
 
 GATE_METRICS = ("mahalanobis", "euclidean")
+# Bound on the magnitude of a measurement's centre, aspect and height; its
+# inverse bounds aspect and height from below. The filter squares heights and
+# divides centre offsets by them, so inside these bounds later products stay
+# below about 1e125, far from float64's overflow at 1.8e308, and a box's width
+# a·h stays positive. Outside them a later frame's products can overflow.
+MEASUREMENT_LIMIT = 1e30
 
 
-class TrackState(Enum):
-    ACTIVE = "active"
-    LOST = "lost"
-    REMOVED = "removed"
+@dataclass(frozen=True, eq=False)
+class Tracks:
+    """Live tracks as columns: row i of every array is one track, rows sorted by id.
 
+    ``ids``, ``hits``, ``last_update`` and ``lost_since`` are ``(T,)``
+    integers; ``lost_since`` is -1 while the track is active. ``mean``
+    ``(T, 8)`` and ``covariance`` ``(T, 8, 8)`` are its Kalman state,
+    ``embeddings`` ``(T, D)`` its smoothed float32 appearance.
+    """
 
-@dataclass
-class Track:
-    """Lifecycle of one tracked identity; its motion and appearance rows live on the Tracker."""
+    ids: np.ndarray
+    hits: np.ndarray
+    last_update: np.ndarray
+    lost_since: np.ndarray
+    mean: np.ndarray
+    covariance: np.ndarray
+    embeddings: np.ndarray
 
-    track_id: int
-    state: TrackState
-    last_update_frame: int
-    lost_since: int | None = None
-    hits: int = 1
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def columns(self) -> list[np.ndarray]:
+        return [getattr(self, column.name) for column in fields(self)]
+
+    def take(self, rows) -> Tracks:
+        """The selected rows (integer indices or a boolean mask), in their order."""
+        return Tracks(*(column[rows] for column in self.columns()))
+
+    def append(self, first_id: int, frame: int, state: KalmanState, embeddings) -> Tracks:
+        """A copy of this table, then one track per row of ``state`` and
+        ``embeddings``: ids from ``first_id`` up, updated in ``frame``, active."""
+        count = len(embeddings)
+        born = (np.arange(first_id, first_id + count), np.ones(count, dtype=np.int64),
+                np.full(count, frame), np.full(count, -1), state.mean, state.covariance, embeddings)
+        return Tracks(*(np.concatenate([column, new], dtype=column.dtype)
+                        for column, new in zip(self.columns(), born)))
 
 
 @dataclass(frozen=True)
@@ -129,7 +162,7 @@ def _finite_number(value) -> bool:
 
 @dataclass(frozen=True)
 class TrackerOutput:
-    """Active tracks updated in one frame, sorted by track id."""
+    """Records ``(id, box, score)`` of the tracks updated in one frame, sorted by id."""
 
     frame_index: int
     records: tuple[tuple[int, BoundingBox, float], ...]
@@ -150,156 +183,122 @@ class Tracker:
 
     def __init__(self, config: TrackerConfig | None = None) -> None:
         self.config = config or TrackerConfig()
-        self.tracks: list[Track] = []  # ACTIVE and LOST; REMOVED tracks are dropped
-        # Row i of both stacks belongs to tracks[i].
-        self.kalman = KalmanState(mean=np.zeros((0, 8)), covariance=np.zeros((0, 8, 8)))
-        self.embeddings = np.zeros((0, self.config.embedding_dim), dtype=np.float32)
-        self.removed_ids: set[int] = set()
         self._filter = KalmanFilter(self.config.motion_noise)
+        none = np.zeros(0, dtype=np.int64)
+        self.tracks = Tracks(none, none, none, none, np.zeros((0, 8)), np.zeros((0, 8, 8)),
+                             np.zeros((0, self.config.embedding_dim), dtype=np.float32))
+        self.removed_ids: set[int] = set()
         self._next_id = 1
         self._last_frame: int | None = None
 
     def step(self, frame_index: int, batch: DetectionBatch) -> TrackerOutput:
-        """Track one frame. Every row must carry an ``embedding_dim`` embedding
-        and a box with a valid measurement, whether or not it survives the
-        confidence filter and NMS. A frame rejected by these checks changes
-        nothing, so it can be retried."""
+        """Track one frame. Every row must carry a finite ``embedding_dim``
+        embedding and a box whose measurement lies within ``MEASUREMENT_LIMIT``,
+        whether or not it survives the confidence filter and NMS. A frame that
+        raises changes nothing, so it can be retried."""
         cfg = self.config
-        if self._last_frame is not None and frame_index <= self._last_frame:
-            raise OrderingError(
-                f"frame {frame_index} does not advance past {self._last_frame}"
+        if frame_index < 0 or (self._last_frame is not None and frame_index <= self._last_frame):
+            raise OrderingError(f"frame {frame_index} is negative or not after {self._last_frame}")
+        measured = self._measure(batch)
+        keep = filter_confidence(batch.objectness, cfg.conf_threshold)
+        keep = keep[nms(batch.boxes[keep], batch.objectness[keep], cfg.nms_iou)]
+        dets, measurements = batch.take(keep), measured[keep]
+        tracks = self.tracks
+        det_embeddings = dets.embeddings if len(dets) else tracks.embeddings[:0]
+
+        predicted = self._filter.predict(KalmanState(tracks.mean, tracks.covariance))
+        assignment, projection = self._associate(
+            predicted, tracks.embeddings, measurements, det_embeddings
+        )
+        rows, cols = (np.array([m[k] for m in assignment.matches], dtype=np.intp) for k in (0, 1))
+        born = np.asarray(assignment.unmatched_detections, dtype=np.intp)
+        matched = np.zeros(len(tracks), dtype=bool)
+        matched[rows] = True
+        lost = np.where(tracks.lost_since < 0, frame_index, tracks.lost_since)
+        table = Tracks(
+            tracks.ids, tracks.hits + matched, np.where(matched, frame_index, tracks.last_update),
+            np.where(matched, -1, lost), predicted.mean, predicted.covariance, tracks.embeddings,
+        )
+        # Mean and covariance are fresh from predict; the embeddings are copied
+        # once, by the append or here, before matched rows are written.
+        if len(born):
+            table = table.append(self._next_id, frame_index,
+                                 self._filter.initiate(measurements[born]), det_embeddings[born])
+        elif len(rows):
+            table = replace(table, embeddings=tracks.embeddings.copy())
+        if len(rows):
+            updated = self._filter.update(
+                KalmanState(predicted.mean[rows], predicted.covariance[rows]),
+                measurements[cols], projection.take(rows),
             )
+            table.mean[rows], table.covariance[rows] = updated.mean, updated.covariance
+            table.embeddings[rows] = smooth_embedding(
+                tracks.embeddings[rows], det_embeddings[cols], cfg.smoothing_alpha
+            )
+        source = np.concatenate([np.full(len(tracks), -1), born])  # each row's detection
+        source[rows] = cols
+        removed = (table.lost_since >= 0) & (frame_index - table.lost_since >= cfg.max_lost)
+        gone = table.ids[removed].tolist()
+        if gone:
+            table, source = table.take(~removed), source[~removed]
+        # A new track's mean is its measurement, so every record's box comes from the table.
+        shown = np.flatnonzero((table.last_update == frame_index) & (table.hits >= cfg.min_hits))
+        records = tuple(zip(table.ids[shown].tolist(), measurements_to_boxes(table.mean[shown, :4]),
+                            dets.objectness[source[shown]].tolist()))
+
+        self.tracks = table
+        self.removed_ids.update(gone)
+        self._next_id += len(born)
+        self._last_frame = frame_index
+        return TrackerOutput(frame_index=frame_index, records=records)
+
+    def _measure(self, batch: DetectionBatch) -> np.ndarray:
+        """Every row's Kalman measurement, once the rows pass the entry checks of ``step``."""
+        cfg = self.config
         shape = None if batch.embeddings is None else batch.embeddings.shape[1:]
         if len(batch) and shape != (cfg.embedding_dim,):
             raise DimensionError(
                 f"tracking requires {cfg.embedding_dim}-dim detection embeddings, got {shape}"
             )
+        finite = np.isfinite(batch.embeddings).all(axis=1) if len(batch) else []
+        if not np.all(finite):
+            raise DegenerateEmbeddingError(f"row {int(np.argmin(finite))}: embedding is not finite")
         with np.errstate(all="ignore"):
             measured = box_to_measurement(batch.boxes)
-        valid = np.isfinite(measured).all(axis=1) & (measured[:, 2:] > 0).all(axis=1)
+            valid = (np.abs(measured) <= MEASUREMENT_LIMIT).all(axis=1) & (
+                measured[:, 2:] >= 1.0 / MEASUREMENT_LIMIT).all(axis=1)
         if not valid.all():
             row = int(np.argmin(valid))
             raise InvalidBoxError(
-                f"row {row}: box {batch.boxes[row].tolist()} has no finite measurement with "
-                f"positive aspect and height, got {measured[row].tolist()}"
+                f"row {row}: box {batch.boxes[row].tolist()} gives the measurement "
+                f"{measured[row].tolist()}, outside MEASUREMENT_LIMIT = {MEASUREMENT_LIMIT:g}"
             )
-        keep = filter_confidence(batch.objectness, cfg.conf_threshold)
-        keep = keep[nms(batch.boxes[keep], batch.objectness[keep], cfg.nms_iou)]
-        dets = batch.take(keep)
+        return measured
 
-        # Set before the first state change, so a step that fails from here
-        # on cannot be retried into a second predict.
-        self._last_frame = frame_index
-        self.kalman = self._filter.predict(self.kalman)
-
-        measurements = measured[keep]
-        det_embeddings = dets.embeddings
-        assignment, projection = self._associate(measurements, det_embeddings)
-
-        scores = dets.objectness.tolist()
-        # Emitted records as ids, scores and Kalman measurements, turned into
-        # boxes by one conversion at the end.
-        emitted_ids: list[int] = []
-        emitted_scores: list[float] = []
-        emitted_means: list[np.ndarray] = []
-        if assignment.matches:
-            rows = [track_idx for track_idx, _, _ in assignment.matches]
-            cols = [det_idx for _, det_idx, _ in assignment.matches]
-            updated = self._filter.update(
-                KalmanState(self.kalman.mean[rows], self.kalman.covariance[rows]),
-                measurements[cols],
-                projection.take(rows),
-            )
-            self.kalman.mean[rows] = updated.mean
-            self.kalman.covariance[rows] = updated.covariance
-            self.embeddings[rows] = smooth_embedding(
-                self.embeddings[rows],
-                det_embeddings[cols],
-                cfg.smoothing_alpha,
-            )
-            shown = []
-            for row, col in zip(rows, cols):
-                track = self.tracks[row]
-                track.state = TrackState.ACTIVE
-                track.lost_since = None
-                track.last_update_frame = frame_index
-                track.hits += 1
-                if track.hits >= cfg.min_hits:
-                    shown.append(row)
-                    emitted_ids.append(track.track_id)
-                    emitted_scores.append(scores[col])
-            emitted_means.append(self.kalman.mean[shown, :4])
-
-        for track_idx in assignment.unmatched_tracks:
-            track = self.tracks[track_idx]
-            if track.state is TrackState.ACTIVE:
-                track.state = TrackState.LOST
-                track.lost_since = frame_index
-
-        keep = [
-            not (track.state is TrackState.LOST and frame_index - track.lost_since >= cfg.max_lost)
-            for track in self.tracks
-        ]
-        if not all(keep):
-            for track, kept in zip(self.tracks, keep):
-                if not kept:
-                    track.state = TrackState.REMOVED
-                    self.removed_ids.add(track.track_id)
-            self.tracks = [track for track, kept in zip(self.tracks, keep) if kept]
-            self.kalman = KalmanState(self.kalman.mean[keep], self.kalman.covariance[keep])
-            self.embeddings = self.embeddings[keep]
-
-        born = assignment.unmatched_detections
-        if born:
-            births = [self._filter.initiate(measurements[i]) for i in born]
-            self.kalman = KalmanState(
-                np.concatenate([self.kalman.mean, [b.mean for b in births]]),
-                np.concatenate([self.kalman.covariance, [b.covariance for b in births]]),
-            )
-            self.embeddings = np.concatenate(
-                [self.embeddings, det_embeddings[born]], dtype=np.float32
-            )
-        shown = []
-        for det_idx in born:
-            track = Track(
-                track_id=self._next_id, state=TrackState.ACTIVE, last_update_frame=frame_index
-            )
-            self._next_id += 1
-            self.tracks.append(track)
-            if track.hits >= cfg.min_hits:
-                shown.append(det_idx)  # a new track's mean is its measurement
-                emitted_ids.append(track.track_id)
-                emitted_scores.append(scores[det_idx])
-        emitted_means.append(measurements[shown])
-
-        boxes = measurements_to_boxes(np.concatenate(emitted_means))
-        records = sorted(zip(emitted_ids, boxes, emitted_scores), key=lambda record: record[0])
-        return TrackerOutput(frame_index=frame_index, records=tuple(records))
-
-    def _associate(
-        self, measurements: np.ndarray, det_embeddings: np.ndarray | None
-    ) -> tuple[Assignment, Projection | None]:
-        """Gate, cost and assign this frame's pairs; the frame's projection
-        (None when there are no pairs) is returned for the update."""
+    def _associate(self, predicted: KalmanState, embeddings: np.ndarray, measurements: np.ndarray,
+                   det_embeddings: np.ndarray) -> tuple[Assignment, Projection | None]:
+        """Gate, cost and assign this frame's pairs of predicted tracks and
+        detections; the frame's projection (None when there are no pairs) is
+        returned for the update."""
         cfg = self.config
-        cost = np.full((len(self.tracks), len(measurements)), np.inf)
+        cost = np.full((len(embeddings), len(measurements)), np.inf)
         projection = None
         if cost.size:
-            projection, rows, cols, distance = self._gate(measurements)
-            costs = pair_costs(self.embeddings[rows], det_embeddings[cols])
+            projection, rows, cols, distance = self._gate(predicted, measurements)
+            costs = pair_costs(embeddings[rows], det_embeddings[cols])
             cost[rows, cols] = apply_gate(costs, distance, cfg.gate_threshold)
         return match_with_threshold(hungarian_solve(cost), cost, cfg.max_cost), projection
 
     def _gate(
-        self, measurements: np.ndarray
+        self, predicted: KalmanState, measurements: np.ndarray
     ) -> tuple[Projection, np.ndarray, np.ndarray, np.ndarray]:
         """The tracks' projection, and the rows, columns and gate distances of
         the candidate pairs: a superset of the pairs inside the gate."""
         cfg = self.config
-        projection = self._filter.factor(self.kalman)
-        centres = self.kalman.mean[:, :2], measurements[:, :2]
+        projection = self._filter.factor(predicted)
+        centres = predicted.mean[:, :2], measurements[:, :2]
         if cfg.gate_metric == "euclidean":  # the squared centre distance is the gate distance
-            radius2 = np.full(len(self.tracks), float(cfg.gate_threshold))
+            radius2 = np.full(len(predicted.mean), float(cfg.gate_threshold))
             rows, cols, distance = candidate_pairs(*centres, radius2)
         else:
             radius2 = projection.gate_radius2(cfg.gate_threshold)

@@ -25,7 +25,7 @@ from trackforge.assoc import hungarian_solve
 from trackforge.core import BoundingBox, normalize
 from trackforge.motion import KalmanFilter
 from trackforge.postproc import nms, parse_output
-from trackforge.tracker import Tracker, TrackerConfig, TrackState
+from trackforge.tracker import Tracker, TrackerConfig
 
 from oracles import KalmanOracle, assignment_brute_force, nms_reference_indices
 
@@ -297,22 +297,20 @@ def test_criterion_10_lifecycle_conformance():
         assert all(i > max(known_ids, default=0) for i in new_ids)  # never reused
         known_ids |= out_ids
 
-        for track in tracker.tracks:
-            if track.state is TrackState.ACTIVE:
-                # Active means updated this frame (unmatched became Lost already).
-                assert track.last_update_frame == frame
-                assert track.lost_since is None
-            else:
-                assert track.state is TrackState.LOST
-                assert track.lost_since is not None
-                assert track.lost_since == track.last_update_frame + 1
-                # Lost no longer than the removal threshold.
-                assert frame - track.lost_since < max_lost
-                lost_log[track.track_id] = track.lost_since
+        tracks = tracker.tracks
+        active = tracks.lost_since == -1
+        # Active means updated this frame (unmatched became Lost already).
+        assert (tracks.last_update[active] == frame).all()
+        lost_since, last_update = tracks.lost_since[~active], tracks.last_update[~active]
+        assert (lost_since >= 0).all()  # every other track is lost, since a frame
+        assert (lost_since == last_update + 1).all()
+        # Lost no longer than the removal threshold.
+        assert (frame - lost_since < max_lost).all()
+        lost_log.update(zip(tracks.ids[~active].tolist(), lost_since.tolist()))
 
         # Removed tracks never appear among live tracks or outputs again.
         assert not out_ids & tracker.removed_ids
-        assert not {t.track_id for t in tracker.tracks} & tracker.removed_ids
+        assert not set(tracks.ids.tolist()) & tracker.removed_ids
 
     # Directed check: a track unmatched for exactly max_lost+1 frames is removed.
     tracker = Tracker(TrackerConfig(embedding_dim=dim, max_lost=max_lost))
@@ -322,9 +320,9 @@ def test_criterion_10_lifecycle_conformance():
     tracker.step(0, det)
     for frame in range(1, max_lost + 1):
         tracker.step(frame, empty)
-        assert tracker.tracks and tracker.tracks[0].state is TrackState.LOST
+        assert len(tracker.tracks) and tracker.tracks.lost_since[0] >= 0
     tracker.step(max_lost + 1, empty)
-    assert tracker.tracks == []
+    assert len(tracker.tracks) == 0
     assert tracker.removed_ids == {1}
     assert [r[0] for r in tracker.step(max_lost + 2, det).records] == [2]
     report_pass(10, "lifecycle invariants hold: same-frame Lost transitions, removal "

@@ -184,6 +184,28 @@ def stack(states):
 
 class TestBatched:
     @pytest.mark.parametrize("count", [0, 1, 7])
+    def test_initiate_matches_slices_and_oracle(self, kf, count):
+        oracle = KalmanOracle()
+        rng = np.random.default_rng(40 + count)
+        zs = np.array([random_measurement(rng) for _ in range(count)]).reshape(-1, 4)
+        batched = kf.initiate(zs)
+        assert batched.mean.shape == (count, 8)
+        assert batched.covariance.shape == (count, 8, 8)
+        for i, z in enumerate(zs):
+            single = kf.initiate(z)
+            mean, cov = oracle.initiate(z)
+            np.testing.assert_array_equal(batched.mean[i], single.mean)
+            np.testing.assert_array_equal(batched.covariance[i], single.covariance)
+            np.testing.assert_allclose(batched.mean[i], mean, atol=1e-9)
+            np.testing.assert_allclose(batched.covariance[i], cov, atol=1e-9)
+
+    @pytest.mark.parametrize("height", [0.0, -0.0, -3.0])
+    def test_initiate_rejects_a_non_positive_row(self, kf, height):
+        zs = np.array([[0.0, 0.0, 1.0, 30.0], [5.0, 5.0, 1.0, height], [9.0, 9.0, 1.0, 20.0]])
+        with pytest.raises(InvalidMeasurementError):
+            kf.initiate(zs)
+
+    @pytest.mark.parametrize("count", [0, 1, 7])
     def test_predict_matches_slices_and_oracle(self, kf, count):
         oracle = KalmanOracle()
         states = random_states(kf, np.random.default_rng(count), count)

@@ -23,16 +23,16 @@ from trackforge.errors import (
     InvalidBoxError,
     NumericError,
     OrderingError,
+    TrackforgeError,
 )
 from trackforge.moteval import evaluate, outputs_to_frames
 from trackforge.motion import CHI2_GATE_95_4DOF, KalmanFilter, KalmanState
 from trackforge.postproc import parse_output
 from trackforge.tracker import (
     GATE_METRICS,
-    Track,
     Tracker,
     TrackerConfig,
-    TrackState,
+    Tracks,
     smooth_embedding,
 )
 
@@ -61,13 +61,29 @@ def config(**overrides):
     return TrackerConfig(**defaults)
 
 
+def state_of(tracker):
+    """Copies of every column of the tracker's table and of its other state."""
+    columns = [column.copy() for column in tracker.tracks.columns()]
+    return columns, tracker._next_id, set(tracker.removed_ids), tracker._last_frame
+
+
+def assert_same_state(a, b):
+    columns_a, *rest_a = a
+    columns_b, *rest_b = b
+    assert len(columns_a) == len(columns_b)
+    for x, y in zip(columns_a, columns_b):
+        assert x.dtype == y.dtype
+        np.testing.assert_array_equal(x, y)
+    assert rest_a == rest_b
+
+
 class TestStepBasics:
     def test_empty_step_on_empty_tracker(self):
         tracker = Tracker(config())
         out = tracker.step(0, frame_of())
         assert out.frame_index == 0
         assert out.records == ()
-        assert tracker.tracks == []
+        assert len(tracker.tracks) == 0
 
     def test_birth_then_rematch_keeps_id(self):
         tracker = Tracker(config())
@@ -75,7 +91,7 @@ class TestStepBasics:
         assert [r[0] for r in out0.records] == [1]
         out1 = tracker.step(1, frame_of(det(103, 101, unit(0))))
         assert [r[0] for r in out1.records] == [1]
-        assert tracker.tracks[0].hits == 2
+        assert tracker.tracks.hits.tolist() == [2]
 
     def test_new_track_box_equals_measurement(self):
         tracker = Tracker(config())
@@ -95,6 +111,8 @@ class TestStepBasics:
 
     def test_out_of_order_frame_rejected(self):
         tracker = Tracker(config())
+        with pytest.raises(OrderingError):
+            tracker.step(-1, frame_of())  # -1 marks an active track's lost_since
         tracker.step(5, frame_of())
         with pytest.raises(OrderingError):
             tracker.step(5, frame_of())
@@ -111,28 +129,41 @@ class TestStepBasics:
 
     # Each box is finite with positive size, so parse_output accepts it, but its
     # measurement is not: the aspect overflows or underflows to 0, or the
-    # center overflows.
+    # center overflows. The last four have a finite measurement outside
+    # MEASUREMENT_LIMIT, whose products in later frames would overflow.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
-        "box", [(0, 0, 1e200, 1e-200), (0, 0, 1e-200, 1e200), (1.7e308, 0, 1e308, 1)]
+        "box",
+        [
+            (0, 0, 1e200, 1e-200), (0, 0, 1e-200, 1e200), (1.7e308, 0, 1e308, 1),
+            (0, 0, 1e300, 1e300), (0, 0, 1e-200, 1e-200), (0, 0, 1e-320, 0.5), (-1e31, 0, 20, 30),
+        ],
     )
     def test_box_without_measurement_rejected_before_any_change(self, box):
         tracker = Tracker(config())
         tracker.step(0, frame_of(det(100, 100, unit(0))))
-        tracks = [replace(track) for track in tracker.tracks]
-        mean, covariance = tracker.kalman.mean.copy(), tracker.kalman.covariance.copy()
-        embeddings = tracker.embeddings.copy()
+        before = state_of(tracker)
         x, y, w, h = box
         batch = frame_of(
             det(100, 100, unit(0)), det(x, y, unit(1), w=w, h=h), det(x, y, unit(2), w=w, h=h)
         )
         with pytest.raises(InvalidBoxError, match=r"^row 1: "):
             tracker.step(1, batch)
-        assert tracker.tracks == tracks
-        assert np.array_equal(tracker.kalman.mean, mean)
-        assert np.array_equal(tracker.kalman.covariance, covariance)
-        assert np.array_equal(tracker.embeddings, embeddings)
+        assert_same_state(state_of(tracker), before)
         assert (tracker._next_id, tracker._last_frame) == (2, 0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("objectness", [0.9, 0.1])
+    def test_non_finite_embedding_rejected_before_any_change(self, value, objectness):
+        tracker = Tracker(config())
+        tracker.step(0, frame_of(det(100, 100, unit(0))))
+        before = state_of(tracker)
+        batch = frame_of(det(100, 100, unit(0)), det(300, 0, unit(1), objectness=objectness))
+        batch.embeddings[1, 3] = value
+        with pytest.raises(DegenerateEmbeddingError, match=r"^row 1: "):
+            tracker.step(1, batch)
+        assert_same_state(state_of(tracker), before)
 
     def test_missing_embedding_rejected(self):
         tracker = Tracker(config())
@@ -143,26 +174,25 @@ class TestStepBasics:
         tracker = Tracker(config(conf_threshold=0.5))
         out = tracker.step(0, frame_of(det(0, 0, unit(0), objectness=0.4)))
         assert out.records == ()
-        assert tracker.tracks == []
+        assert len(tracker.tracks) == 0
 
 
 class TestLifecycle:
     def test_unmatched_track_lost_same_frame(self):
         tracker = Tracker(config())
         tracker.step(0, frame_of(det(100, 100, unit(0))))
-        assert tracker.tracks[0].state is TrackState.ACTIVE
+        assert tracker.tracks.lost_since.tolist() == [-1]  # active
         tracker.step(1, frame_of())
-        assert tracker.tracks[0].state is TrackState.LOST
-        assert tracker.tracks[0].lost_since == 1
+        assert tracker.tracks.lost_since.tolist() == [1]  # lost in frame 1
 
     def test_removed_after_max_lost_and_never_reappears(self):
         tracker = Tracker(config(max_lost=3))
         tracker.step(0, frame_of(det(100, 100, unit(0))))
         for frame in range(1, 4):
             tracker.step(frame, frame_of())
-            assert tracker.tracks and tracker.tracks[0].state is TrackState.LOST
+            assert len(tracker.tracks) and tracker.tracks.lost_since[0] >= 0
         tracker.step(4, frame_of())  # lost for 4 > max_lost frames
-        assert tracker.tracks == []
+        assert len(tracker.tracks) == 0
         assert tracker.removed_ids == {1}
         # Same appearance reappears: it must get a fresh id, not resurrect id 1.
         out = tracker.step(5, frame_of(det(100, 100, unit(0))))
@@ -175,8 +205,8 @@ class TestLifecycle:
         tracker.step(2, frame_of())
         out = tracker.step(3, frame_of(det(100, 100, unit(0))))
         assert [r[0] for r in out.records] == [1]
-        assert tracker.tracks[0].state is TrackState.ACTIVE
-        assert tracker.tracks[0].lost_since is None
+        assert tracker.tracks.lost_since.tolist() == [-1]  # active again
+        assert tracker.tracks.last_update.tolist() == [3]
 
     def test_ids_strictly_increasing_never_reused(self):
         rng = np.random.default_rng(0)
@@ -190,7 +220,7 @@ class TestLifecycle:
             ]
             out = tracker.step(frame, frame_of(*dets))
             issued.extend(r[0] for r in out.records if r[0] not in issued)
-            live = {t.track_id for t in tracker.tracks}
+            live = set(tracker.tracks.ids.tolist())
             assert not live & tracker.removed_ids
         assert issued == sorted(issued)
 
@@ -236,7 +266,7 @@ class TestEuclideanGate:
         out = tracker.step(1, frame_of(det(500, 500, unit(0))))
         # same appearance but outside the gate: old track unmatched, new id spawned
         assert [r[0] for r in out.records] == [2]
-        assert tracker.tracks[0].state is TrackState.LOST
+        assert tracker.tracks.lost_since[0] == 1  # track 1 is lost
 
 
 def run_tracker_on_scenario(scenario, seed, **cfg_overrides):
@@ -276,9 +306,9 @@ class TestSequenceProperties:
                     normalize(rng.standard_normal(DIM)))
                 for _ in range(rng.integers(0, 5))
             ]
-            before = set(t.track_id for t in tracker.tracks)
+            before = set(tracker.tracks.ids.tolist())
             tracker.step(frame, frame_of(*dets))
-            new_ids = {t.track_id for t in tracker.tracks} - before
+            new_ids = set(tracker.tracks.ids.tolist()) - before
             known_ids |= new_ids
 
     def test_mild_noise_no_identity_errors(self):
@@ -317,22 +347,21 @@ class TestRowBookkeeping:
                     replay[i] = kf.update(kf.predict(replay[i]), z)
                     smoothed[i] = smooth_embedding(smoothed[i], embeddings[i], cfg.smoothing_alpha)
 
+        tracks = tracker.tracks
         assert tracker.removed_ids == {2}
-        assert [t.track_id for t in tracker.tracks] == [1, 3]
-        for track in tracker.tracks:
-            assert track.state is TrackState.ACTIVE
-            assert track.lost_since is None
-            assert track.last_update_frame == 5
-            assert track.hits == 6
-        assert tracker.kalman.mean.shape == (2, 8)
-        assert tracker.kalman.covariance.shape == (2, 8, 8)
-        assert tracker.embeddings.shape == (2, DIM)
+        assert tracks.ids.tolist() == [1, 3]
+        assert tracks.lost_since.tolist() == [-1, -1]  # both active
+        assert tracks.last_update.tolist() == [5, 5]
+        assert tracks.hits.tolist() == [6, 6]
+        assert tracks.mean.shape == (2, 8)
+        assert tracks.covariance.shape == (2, 8, 8)
+        assert tracks.embeddings.shape == (2, DIM)
         for row, track_id in enumerate([1, 3]):
-            np.testing.assert_allclose(tracker.kalman.mean[row], replay[track_id].mean, atol=1e-9)
+            np.testing.assert_allclose(tracks.mean[row], replay[track_id].mean, atol=1e-9)
             np.testing.assert_allclose(
-                tracker.kalman.covariance[row], replay[track_id].covariance, atol=1e-9
+                tracks.covariance[row], replay[track_id].covariance, atol=1e-9
             )
-            np.testing.assert_array_equal(tracker.embeddings[row], smoothed[track_id])
+            np.testing.assert_array_equal(tracks.embeddings[row], smoothed[track_id])
 
 
 # One frame row: (slot, score, identity). Slots share a few boxes, so rows can
@@ -489,11 +518,12 @@ def _random_kalman(rng, count):
     return KalmanState(np.array(means), np.array(covariances))
 
 
-def _dense_gate(tracker, measurements):
-    """The gate distances of every pair, as association computed them before it was sparse."""
+def _dense_gate(tracker, kalman, measurements):
+    """The gate distances of every pair of the tracks' ``kalman`` states and
+    ``measurements``, as association computed them before it was sparse."""
     if tracker.config.gate_metric == "mahalanobis":
-        return tracker._filter.gating_distance(tracker.kalman, measurements)
-    delta = tracker.kalman.mean[:, None, :2] - measurements[None, :, :2]
+        return tracker._filter.gating_distance(kalman, measurements)
+    delta = kalman.mean[:, None, :2] - measurements[None, :, :2]
     return np.sum(delta * delta, axis=2)
 
 
@@ -515,9 +545,7 @@ class TestSparseGate:
         near = kalman.mean[rng.integers(0, n_tracks, n_dets), :4]
         measurements = near + rng.normal(0.0, spread, (n_dets, 4)) * [1, 1, 0.01, 0.1]
         measurements[:, 2:] = np.abs(measurements[:, 2:]) + 0.1
-        probe = Tracker(config(gate_metric=metric))
-        probe.kalman = kalman
-        dense = _dense_gate(probe, measurements)
+        dense = _dense_gate(Tracker(config(gate_metric=metric)), kalman, measurements)
         # A gate exactly on one pair's distance, one ulp either side of it, or the default.
         threshold = float(dense.flat[pick % dense.size])
         if boundary == "none":
@@ -526,10 +554,8 @@ class TestSparseGate:
             toward = 0.0 if boundary == "below" else np.inf
             threshold = max(float(np.nextafter(threshold, toward)), 0.0)
         tracker = Tracker(config(gate_metric=metric, gate_threshold=threshold))
-        tracker.tracks = [Track(i + 1, TrackState.ACTIVE, 0) for i in range(n_tracks)]
-        tracker.kalman = kalman
 
-        _, rows, cols, distance = tracker._gate(measurements)
+        _, rows, cols, distance = tracker._gate(kalman, measurements)
         np.testing.assert_array_equal(distance, dense[rows, cols])
         sparse = np.full(dense.shape, np.inf)
         sparse[rows, cols] = distance
@@ -542,10 +568,12 @@ class TestSparseGate:
     def test_bad_covariance_without_candidates_raises(self, metric):
         tracker = Tracker(config(gate_metric=metric))
         tracker.step(0, frame_of(det(100, 100, unit(0)), det(1000, 100, unit(1))))
-        tracker.kalman.covariance[1, 0, 0] = np.nan
+        tracker.tracks.covariance[1, 0, 0] = np.nan
+        before = state_of(tracker)
         # The one detection is far from the broken track, so no pair involves it.
         with pytest.raises(NumericError):
             tracker.step(1, frame_of(det(101, 100, unit(0))))
+        assert_same_state(state_of(tracker), before)
 
     def test_step_builds_no_dense_cost_matrix(self, monkeypatch):
         def dense(*args, **kwargs):
@@ -559,7 +587,7 @@ class TestSparseGate:
             raw = _raw_frame(frame, [(slot, 0.9, slot % 4) for slot in range(6)], rng)
             out = tracker.step(frame, parse_output(raw, DIM))
             assert len(out.records) == 6
-        assert [t.hits for t in tracker.tracks] == [6] * 6
+        assert tracker.tracks.hits.tolist() == [6] * 6
 
 
 class _Unfactored:
@@ -574,13 +602,13 @@ class DenseTracker(Tracker):
     """The tracker with association as it was before it was sparse: the whole
     (T, N) cost matrix, the whole gate matrix, then the assignment."""
 
-    def _associate(self, measurements, det_embeddings):
+    def _associate(self, predicted, embeddings, measurements, det_embeddings):
         cfg = self.config
-        if not (len(self.tracks) and len(measurements)):
-            cost = np.zeros((len(self.tracks), len(measurements)))
+        if not (len(embeddings) and len(measurements)):
+            cost = np.zeros((len(embeddings), len(measurements)))
         else:
-            cost = build_cost_matrix(self.embeddings, det_embeddings)
-            cost = apply_gate(cost, _dense_gate(self, measurements), cfg.gate_threshold)
+            cost = build_cost_matrix(embeddings, det_embeddings)
+            cost = apply_gate(cost, _dense_gate(self, predicted, measurements), cfg.gate_threshold)
         return match_with_threshold(hungarian_solve(cost), cost, cfg.max_cost), _Unfactored()
 
 
@@ -622,8 +650,101 @@ class TestSparseMatchesDense:
         sparse, dense = Tracker(cfg), DenseTracker(cfg)
         for frame, batch in _stream(np.random.default_rng(seed), n_objects, n_frames):
             assert sparse.step(frame, batch) == dense.step(frame, batch)
-            assert sparse.tracks == dense.tracks
-            np.testing.assert_array_equal(sparse.kalman.mean, dense.kalman.mean)
-            np.testing.assert_array_equal(sparse.kalman.covariance, dense.kalman.covariance)
-            np.testing.assert_array_equal(sparse.embeddings, dense.embeddings)
-        assert sparse.embeddings.dtype == np.float32
+            assert_same_state(state_of(sparse), state_of(dense))
+        assert sparse.tracks.embeddings.dtype == np.float32
+
+
+class TestCommitOnce:
+    def test_degenerate_smoothing_leaves_tracker_unchanged(self):
+        # Antipodal embeddings cost exactly 2, so they match, and their
+        # smoothed mean is zero and cannot be normalized.
+        cfg = config(smoothing_alpha=0.5, max_cost=2.0)
+        tracker = Tracker(cfg)
+        tracker.step(0, frame_of(det(100, 100, unit(0))))
+        before = state_of(tracker)
+        with pytest.raises(DegenerateEmbeddingError):
+            tracker.step(1, frame_of(det(101, 100, -unit(0))))
+        assert_same_state(state_of(tracker), before)
+
+        retry = frame_of(det(101, 100, unit(0)))
+        fresh = Tracker(cfg)
+        fresh.step(0, frame_of(det(100, 100, unit(0))))
+        assert tracker.step(1, retry) == fresh.step(1, retry)
+        assert_same_state(state_of(tracker), state_of(fresh))
+
+
+# Odd detections for the commit property, each (kind, slot, outside); the
+# slots share positions, so rows of different kinds meet in the gate.
+_SIZES = {  # w and h just inside and just outside MEASUREMENT_LIMIT
+    "tiny": ((1e-29, 1e-29), (1e-200, 1e-200)),
+    "huge": ((1e29, 1e29), (1e300, 1e300)),
+    "wide": ((3e21, 30.0), (3e32, 30.0)),
+    "narrow": ((3e-28, 30.0), (3e-32, 30.0)),
+}
+_KINDS = ("good", "shrink", "nan", "inf", "antipodal", *_SIZES)
+_odd_rows = st.lists(
+    st.tuples(st.sampled_from(_KINDS), st.integers(0, 3), st.booleans()), max_size=5
+)
+
+
+def _odd_frame(frame, rows):
+    raw = np.zeros((len(rows), 6 + DIM))
+    for k, (kind, slot, outside) in enumerate(rows):
+        w, h = _SIZES[kind][outside] if kind in _SIZES else (20.0, 30.0)
+        if kind == "shrink":
+            w, h = 20.0 * 0.4**frame, 30.0 * 0.4**frame
+        raw[k, :6] = (80.0 * slot + 2.0 * frame, 60.0, w, h, 0.9, 1.0)
+        # The second axis changes from frame to frame, so smoothing moves the embeddings.
+        embedding = np.zeros(DIM)
+        embedding[[slot, 4 + frame % (DIM - 4)]] = 1.0, 0.5
+        raw[k, 6:] = (-1.0 if kind == "antipodal" else 1.0) * normalize(embedding)
+        if kind in ("nan", "inf"):
+            raw[k, 6 + slot] = np.nan if kind == "nan" else np.inf
+    return DetectionBatch(raw[:, :4], raw[:, 4], raw[:, 5], raw[:, 6:].astype(np.float32))
+
+
+class TestCommitProperty:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(frames=st.lists(st.tuples(_odd_rows, st.booleans(), st.integers(0, 7)), max_size=10))
+    def test_a_failed_step_changes_nothing(self, frames):
+        """Only TrackforgeError escapes step; after one, the tracker is as it
+        was, and a retried good frame gives what a fresh run gives. A step
+        never writes the table it replaces, ids stay strictly increasing, and
+        every value in the table is finite."""
+        cfg = config(smoothing_alpha=0.5, max_cost=2.0, max_lost=2)
+        tracker = Tracker(cfg)
+        accepted = []
+        for frame, (rows, break_row, pick) in enumerate(frames):
+            intact = tracker.tracks
+            committed = [column.copy() for column in intact.columns()]
+            # A frame with rows fails on a broken covariance row: at its entry
+            # checks or when it factors the projection.
+            broken = break_row and len(intact) > 0 and len(rows) > 0
+            if broken:
+                covariance = intact.covariance.copy()
+                covariance[pick % len(intact), 1, 1] = np.nan
+                tracker.tracks = replace(intact, covariance=covariance)
+            good = [row for row in rows if row[0] in ("good", "shrink")]
+            attempts = [_odd_frame(frame, rows), _odd_frame(frame, good), frame_of()]
+            for tried, attempt in enumerate(attempts):
+                before = state_of(tracker)
+                try:
+                    out = tracker.step(frame, attempt)
+                except TrackforgeError:
+                    assert_same_state(state_of(tracker), before)
+                    tracker.tracks = intact
+                    continue
+                accepted.append((frame, attempt, out))
+                break
+            else:
+                pytest.fail("an empty frame was rejected")
+            assert not (broken and tried == 0)
+            for column, copy in zip(intact.columns(), committed):  # the replaced table is intact
+                np.testing.assert_array_equal(column, copy)
+            assert np.all(np.diff(tracker.tracks.ids) > 0)
+            assert all(np.isfinite(column).all() for column in tracker.tracks.columns())
+
+        fresh = Tracker(cfg)
+        for frame, batch, out in accepted:
+            assert fresh.step(frame, batch) == out
