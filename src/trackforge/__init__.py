@@ -12,17 +12,15 @@ from .core import (
     quantize_binary16,
 )
 from .detgen import (
-    LatencyModel,
     NoiseParams,
     ScenarioConfig,
     ScenarioObject,
-    emulated_latency,
     generate_frame,
     make_scenario,
     scenario_frames,
     scenario_ground_truth,
 )
-from .motion import CHI2_GATE_95_4DOF, KalmanFilter, KalmanState, MotionNoise
+from .motion import CHI2_GATE_95_4DOF, KalmanFilter, KalmanState
 from .moteval import MetricsReport, clear_mot, evaluate, id_metrics, match_frame
 from .pipeline import (
     ExecutionMode,
@@ -48,9 +46,7 @@ __all__ = [
     "ExecutionMode",
     "KalmanFilter",
     "KalmanState",
-    "LatencyModel",
     "MetricsReport",
-    "MotionNoise",
     "NoiseParams",
     "PipelineConfig",
     "PipelineMode",
@@ -69,7 +65,6 @@ __all__ = [
     "build_cost_matrix",
     "clear_mot",
     "cosine_distance",
-    "emulated_latency",
     "evaluate",
     "filter_confidence",
     "generate_frame",

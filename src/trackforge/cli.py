@@ -6,6 +6,7 @@ mismatch in `bench`), 2 usage or configuration error.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import sys
@@ -16,7 +17,6 @@ import click
 from . import detgen, moteval
 from .core import BoundingBox
 from .errors import TrackforgeError
-from .motion import MotionNoise
 from .pipeline import (
     ExecutionMode,
     PipelineConfig,
@@ -112,25 +112,21 @@ def load_config_file(path: str | Path | None) -> dict:
 
 
 def build_tracker_config(overrides: dict, embedding_dim: int) -> TrackerConfig:
-    known = {
-        "conf_threshold", "nms_iou", "max_cost", "gate_threshold", "gate_metric",
-        "smoothing_alpha", "max_lost", "min_hits",
-    }
-    unknown = set(overrides) - known
-    if unknown:
-        raise click.UsageError(f"unknown tracker config keys: {sorted(unknown)}")
-    return TrackerConfig(embedding_dim=embedding_dim, motion_noise=MotionNoise(), **overrides)
+    """The tracker section; ``embedding_dim`` comes from the detection source."""
+    _check_keys("tracker", overrides, TrackerConfig, exclude=("embedding_dim",))
+    return TrackerConfig(embedding_dim=embedding_dim, **overrides)
 
 
 def build_pipeline_config(overrides: dict) -> PipelineConfig:
-    known = {
-        "t_fixed_ms", "t_image_ms", "kappa_full", "kappa_mixed", "t_post_fixed_ms",
-        "t_post_per_detection_ms", "q1_capacity", "q2_capacity", "warmup_frames",
-    }
-    unknown = set(overrides) - known
-    if unknown:
-        raise click.UsageError(f"unknown pipeline config keys: {sorted(unknown)}")
+    _check_keys("pipeline", overrides, PipelineConfig)
     return PipelineConfig(**overrides)
+
+
+def _check_keys(section: str, overrides: dict, config: type, exclude: tuple[str, ...] = ()) -> None:
+    """Every key of a config file section must name a field of its config class."""
+    unknown = set(overrides) - {f.name for f in dataclasses.fields(config)} - set(exclude)
+    if unknown:
+        raise click.UsageError(f"unknown {section} config keys: {sorted(unknown)}")
 
 
 def _parse_mode(mode: str, precision: str, batch_size: int) -> PipelineMode:

@@ -16,14 +16,7 @@ packed ``frame << 32 | det_index`` integers, and each frame's vectors are
 normalized in one ``normalize`` call from their run of key-sorted records,
 so every row equals ``normalize`` of its vector alone bit for bit.
 
-Inference cost is emulated, not computed: :class:`LatencyModel` prices a
-batch as ``t_fixed + batch_size * t_image * kappa`` milliseconds, where
-``kappa`` scales the per-image term for reduced-precision execution. The
-default constants are calibrated so that a 20-object scene splits frame time
-roughly 80/20 between inference and post-processing at about 19 FPS, and
-``KAPPA_MIXED`` reflects the relative model-time reduction observed when
-dropping numerically safe operations to half precision. These are
-calibration values for the emulator, not measurements of any real model.
+Inference itself is not emulated here: :mod:`trackforge.pipeline` prices it.
 """
 
 from __future__ import annotations
@@ -39,37 +32,14 @@ import numpy as np
 from .core import MIN_EMBEDDING_NORM, BoundingBox, cosine_distance, normalize, row_norms
 from .errors import ConfigError, ConsistencyError, DimensionError, InvalidBoxError, ParseError
 
-KAPPA_FULL = 1.0
-KAPPA_MIXED = 0.786
-
 # Internal rng stream tags, so per-frame noise, identity embeddings, and
 # scenario layout never share a seed sequence.
 _STREAM_FRAME = 1
 _STREAM_IDENTITY = 2
 _STREAM_LAYOUT = 3
-
-
-@dataclass(frozen=True)
-class LatencyModel:
-    """Per-batch inference cost: t_fixed + batch_size * t_image * kappa (ms)."""
-
-    t_fixed_ms: float = 8.0
-    t_image_ms: float = 34.0
-    kappa: float = KAPPA_FULL
-
-    def __post_init__(self) -> None:
-        if self.t_fixed_ms <= 0 or self.t_image_ms <= 0:
-            raise ConfigError("latency terms must be positive")
-        if not 0.0 < self.kappa <= 1.0:
-            raise ConfigError(f"kappa must be in (0, 1], got {self.kappa}")
-
-
-def emulated_latency(model: LatencyModel, batch_size: int) -> float:
-    """Milliseconds the inference stage stalls for one batch."""
-    if batch_size < 1:
-        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
-    return model.t_fixed_ms + batch_size * model.t_image_ms * model.kappa
-
+# Candidates identity_embeddings may draw per requested vector before it
+# gives up on the margin.
+_MAX_ATTEMPTS_PER_VECTOR = 1000
 
 # Highest mean false-positive count per frame. A frame is one (n, 6 + dim)
 # float64 array and NMS builds an (n, n) overlap matrix, so the Poisson draw
@@ -159,9 +129,7 @@ class ScenarioConfig:
                 )
 
 
-def identity_embeddings(
-    count: int, dim: int, margin: float, seed: int, max_attempts_per_vector: int = 1000
-) -> list[np.ndarray]:
+def identity_embeddings(count: int, dim: int, margin: float, seed: int) -> list[np.ndarray]:
     """Seeded unit vectors with pairwise cosine distance >= margin.
 
     Candidates are drawn from a Gaussian and rejected until they clear the
@@ -176,7 +144,7 @@ def identity_embeddings(
         attempts += 1
         if all(cosine_distance(candidate, other) >= margin for other in accepted):
             accepted.append(candidate)
-        elif attempts > max_attempts_per_vector * count:
+        elif attempts > _MAX_ATTEMPTS_PER_VECTOR * count:
             raise ConfigError(
                 f"could not draw {count} embeddings with separation {margin} in dim {dim}"
             )

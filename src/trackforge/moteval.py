@@ -15,6 +15,7 @@ MOTP is reported as the mean matched distance (1 - IoU), so 0.0 is perfect.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -314,6 +315,7 @@ def load_mot_tracks(path: str | Path) -> dict[int, FrameBoxes]:
     """Read a MOT gt or result file into frame -> [(id, box)], 0-indexed frames."""
     frames: dict[int, FrameBoxes] = {}
     seen: set[tuple[int, int]] = set()
+    isfinite = math.isfinite
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -330,6 +332,8 @@ def load_mot_tracks(path: str | Path) -> dict[int, FrameBoxes]:
                 raise ParseError(f"line {lineno}: non-numeric field ({exc})") from exc
             if frame < 1:
                 raise ParseError(f"line {lineno}: frame index must be >= 1, got {frame}")
+            if not (isfinite(x) and isfinite(y) and isfinite(w) and isfinite(h)):
+                raise ParseError(f"line {lineno}: non-finite box field")
             if w <= 0 or h <= 0:
                 raise InvalidBoxError(f"line {lineno}: non-positive box size w={w}, h={h}")
             key = (frame - 1, track_id)

@@ -2,8 +2,9 @@
 
 State is an 8-vector (position block then velocity block) with dt = 1 frame.
 Process and measurement noise scale with box height, apart from the aspect
-ratio which uses small fixed standard deviations; all weights live in
-:class:`MotionNoise` and are configurable.
+ratio which uses small fixed standard deviations. The weights are constants,
+the ones DeepSORT fixes for this filter; each diagonal std is
+``h * scale + fixed`` over a per-entry pair of constant vectors.
 
 Every operation broadcasts over leading axes, so one call serves a whole
 stack of tracks: a :class:`KalmanState` holds either one track (mean ``(8,)``,
@@ -41,22 +42,21 @@ _DIM = 4  # measurement dimension; state is 2 * _DIM
 _BOUND_MARGIN = 1.01
 _MEASURE_DIAG = np.arange(_DIM)
 _STATE_DIAG = np.arange(2 * _DIM)
+_MOTION = np.eye(2 * _DIM)
+_MOTION[:_DIM, _DIM:] = np.eye(_DIM)
+_OBSERVE = np.eye(_DIM, 2 * _DIM)
 
-
-@dataclass(frozen=True)
-class MotionNoise:
-    """Noise weights: position/size stds scale with box height, aspect is fixed.
-
-    The measurement-space aspect std is deliberately looser than the process
-    one: observed aspect ratios wobble with box-size noise, and an overtight
-    innovation covariance would reject valid matches at the gate.
-    """
-
-    std_weight_position: float = 1.0 / 20
-    std_weight_velocity: float = 1.0 / 160
-    std_aspect: float = 1e-2
-    std_aspect_velocity: float = 1e-5
-    std_aspect_measurement: float = 1e-1
+# Diagonal stds, per entry (cx, cy, a, h, then their velocities): h * scale +
+# fixed. Position and size stds scale with box height h, the aspect ones are
+# fixed. The measurement aspect std is deliberately looser than the process
+# one: observed aspect ratios wobble with box-size noise, and an overtight
+# innovation covariance would reject valid matches at the gate.
+_WP, _WV = 1.0 / 20, 1.0 / 160  # position and velocity std per unit of height
+_INITIATE_SCALE = np.array([2 * _WP, 2 * _WP, 0.0, 2 * _WP, 10 * _WV, 10 * _WV, 0.0, 10 * _WV])
+_PROCESS_SCALE = np.array([_WP, _WP, 0.0, _WP, _WV, _WV, 0.0, _WV])
+_PROCESS_FIXED = np.array([0.0, 0.0, 1e-2, 0.0, 0.0, 0.0, 1e-5, 0.0])
+_MEASUREMENT_SCALE = _PROCESS_SCALE[:_DIM]
+_MEASUREMENT_FIXED = np.array([0.0, 0.0, 1e-1, 0.0])
 
 
 @dataclass(frozen=True)
@@ -103,20 +103,16 @@ class Projection:
 
         For positive definite S, ``dᵀS⁻¹d >= |d|²/λ_max(S) >= (dx² + dy²)/trace(S)``,
         so a measurement whose centre lies farther than this from the
-        projected centre has a distance above ``threshold``.
+        projected centre has a distance above ``threshold``. A bound that
+        overflows to inf only admits every centre, and the exact gate decides.
         """
         trace = np.trace(self.covariance, axis1=-2, axis2=-1)
-        return _BOUND_MARGIN * threshold * trace
+        with np.errstate(over="ignore"):
+            return _BOUND_MARGIN * threshold * trace
 
 
 class KalmanFilter:
     """Predict/update cycle for one track's motion state or a stack of them."""
-
-    def __init__(self, noise: MotionNoise | None = None) -> None:
-        self.noise = noise or MotionNoise()
-        self._motion = np.eye(2 * _DIM)
-        self._motion[:_DIM, _DIM:] = np.eye(_DIM)
-        self._observe = np.eye(_DIM, 2 * _DIM)
 
     def initiate(self, measurement: np.ndarray) -> KalmanState:
         """States with zero velocity for unassociated measurements: ``(4,)`` gives
@@ -128,48 +124,23 @@ class KalmanFilter:
                 f"measurement height must be positive, got {float(np.min(h))}"
             )
         mean = np.concatenate([z, np.zeros_like(z)], axis=-1)
-        position = 2 * self.noise.std_weight_position * h
-        velocity = 10 * self.noise.std_weight_velocity * h
-        fixed = np.ones_like(h)
-        std = np.stack([position, position, self.noise.std_aspect * fixed, position, velocity,
-                        velocity, self.noise.std_aspect_velocity * fixed, velocity], axis=-1)
         covariance = np.zeros(h.shape + (2 * _DIM, 2 * _DIM))
-        covariance[..., _STATE_DIAG, _STATE_DIAG] = std**2
+        covariance[..., _STATE_DIAG, _STATE_DIAG] = _std(h, _INITIATE_SCALE, _PROCESS_FIXED) ** 2
         return KalmanState(mean=mean, covariance=covariance)
 
     def predict(self, state: KalmanState) -> KalmanState:
         """Advance one frame: position += velocity, covariance grows by Q."""
-        h = state.mean[..., 3]
-        wp, wv = self.noise.std_weight_position, self.noise.std_weight_velocity
-        fixed = np.ones_like(h)
-        std = np.stack(
-            [
-                wp * h,
-                wp * h,
-                self.noise.std_aspect * fixed,
-                wp * h,
-                wv * h,
-                wv * h,
-                self.noise.std_aspect_velocity * fixed,
-                wv * h,
-            ],
-            axis=-1,
-        )
-        mean = state.mean @ self._motion.T
-        covariance = self._motion @ state.covariance @ self._motion.T
+        std = _std(state.mean[..., 3], _PROCESS_SCALE, _PROCESS_FIXED)
+        mean = state.mean @ _MOTION.T
+        covariance = _MOTION @ state.covariance @ _MOTION.T
         covariance[..., _STATE_DIAG, _STATE_DIAG] += std**2
         return KalmanState(mean=mean, covariance=_symmetrize(covariance))
 
     def project(self, state: KalmanState) -> tuple[np.ndarray, np.ndarray]:
         """Project the state into measurement space: (mean4, innovation covariance)."""
-        h = state.mean[..., 3]
-        wp = self.noise.std_weight_position
-        std = np.stack(
-            [wp * h, wp * h, self.noise.std_aspect_measurement * np.ones_like(h), wp * h],
-            axis=-1,
-        )
-        mean = state.mean @ self._observe.T
-        cov = self._observe @ state.covariance @ self._observe.T
+        std = _std(state.mean[..., 3], _MEASUREMENT_SCALE, _MEASUREMENT_FIXED)
+        mean = state.mean @ _OBSERVE.T
+        cov = _OBSERVE @ state.covariance @ _OBSERVE.T
         cov[..., _MEASURE_DIAG, _MEASURE_DIAG] += std**2
         return mean, cov
 
@@ -189,7 +160,7 @@ class KalmanFilter:
         z = np.asarray(measurement, dtype=np.float64)
         p = self.factor(state) if projection is None else projection
         # gain = P H^T S^-1 = X^T for S X = H P, solved with S = L L^T (P is symmetric).
-        cross = self._observe @ state.covariance
+        cross = _OBSERVE @ state.covariance
         gain = _swap(_back_substitute(p.chol, _forward_substitute(p.chol, cross)))
         innovation = z - p.mean
         mean = state.mean + (gain @ innovation[..., None])[..., 0]
@@ -204,6 +175,11 @@ class KalmanFilter:
         """
         z = np.atleast_2d(np.asarray(measurements, dtype=np.float64))
         return self.factor(state).distance(z)
+
+
+def _std(h: np.ndarray, scale: np.ndarray, fixed: np.ndarray) -> np.ndarray:
+    """Diagonal stds ``(..., len(scale))`` for box heights ``h``."""
+    return h[..., None] * scale + fixed
 
 
 def _swap(matrix: np.ndarray) -> np.ndarray:

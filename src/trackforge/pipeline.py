@@ -19,11 +19,13 @@ for frames that have not arrived yet when it is not. In the uncut chain
 nothing waits until it is pulled, so every batch but the last fills to
 ``batch_size``.
 
-Inference cost is emulated by stalling for the LatencyModel's batch price;
-post-processing stalls for whatever remains of its per-frame budget after
-the real tracker work. A stall that wakes past its deadline is made up by the
-stage's next stalls, so each stage's stalls add up to its prices. Mixed
-precision selects a smaller latency factor and quantizes detection
+Inference cost is emulated, not computed: ``PipelineConfig.infer_ms`` prices
+a batch as ``t_fixed + batch_size * t_image * kappa`` milliseconds, where
+``kappa`` is 1 at full precision by definition and ``kappa_mixed`` at mixed
+precision. Post-processing stalls for whatever remains of its per-frame
+budget, ``PipelineConfig.post_ms``, after the real tracker work. A stall that
+wakes past its deadline is made up by the stage's next stalls, so each
+stage's stalls add up to its prices. Mixed precision also quantizes detection
 embeddings to binary16 before association; box coordinates always stay at
 full precision.
 
@@ -34,6 +36,7 @@ matrix in one call each, and ``Tracker.step`` takes it as is.
 
 from __future__ import annotations
 
+import numbers
 import threading
 import time
 from collections import deque
@@ -44,12 +47,24 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .core import normalize, quantize_binary16
-from .detgen import KAPPA_FULL, KAPPA_MIXED, LatencyModel, emulated_latency
 from .errors import ConfigError, PipelineAborted
 from .postproc import parse_output
-from .tracker import Tracker, TrackerOutput
+from .tracker import Tracker, TrackerOutput, _finite_number
 
 _SENTINEL = object()
+
+# Share of the full-precision per-image model time left when numerically safe
+# operations drop to half precision. A calibration of the emulator, not a
+# measurement of any real model.
+KAPPA_MIXED = 0.786
+# Upper bound on each price term of PipelineConfig, in milliseconds: a minute
+# per frame or detection is far beyond any real-time tracker, and it keeps
+# every stall a finite time that time.sleep accepts.
+_MAX_PRICE_MS = 60_000.0
+
+
+def _integer_at_least(value, low: int) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
 
 
 class ExecutionMode(Enum):
@@ -77,8 +92,8 @@ class PipelineMode:
     batch_size: int = 1
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
+        if not _integer_at_least(self.batch_size, 1):
+            raise ConfigError(f"batch size must be an integer >= 1, got {self.batch_size!r}")
         if self.execution is ExecutionMode.SERIAL and self.batch_size != 1:
             raise ConfigError("serial mode implies batch size 1")
 
@@ -88,16 +103,18 @@ class PipelineMode:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Latency model, queue capacities, and measurement parameters.
+    """Emulated prices, queue capacities, and measurement parameters.
 
-    The latency defaults split a 20-detection frame roughly 80/20 between
+    The price defaults split a 20-detection frame roughly 80/20 between
     inference (42 ms at full precision, batch 1) and post-processing
     (2.5 + 20 * 0.4 = 10.5 ms), which lands near 19 FPS serialized.
+    ``t_fixed_ms`` and ``t_image_ms`` lie in (0, 60000], the post terms in
+    [0, 60000] and ``kappa_mixed`` in (0, 1]; the capacities are integers
+    >= 1 and ``warmup_frames`` an integer >= 0.
     """
 
     t_fixed_ms: float = 8.0
     t_image_ms: float = 34.0
-    kappa_full: float = KAPPA_FULL
     kappa_mixed: float = KAPPA_MIXED
     t_post_fixed_ms: float = 2.5
     t_post_per_detection_ms: float = 0.4
@@ -106,16 +123,29 @@ class PipelineConfig:
     warmup_frames: int = 10
 
     def __post_init__(self) -> None:
-        if self.q1_capacity < 1 or self.q2_capacity < 1:
-            raise ConfigError("queue capacities must be >= 1")
-        if self.warmup_frames < 0:
-            raise ConfigError("warmup frame count must be >= 0")
-        if self.t_post_fixed_ms < 0 or self.t_post_per_detection_ms < 0:
-            raise ConfigError("post-processing latency terms must be >= 0")
+        for name, low, high in (
+            ("t_fixed_ms", 0.0, _MAX_PRICE_MS), ("t_image_ms", 0.0, _MAX_PRICE_MS),
+            ("kappa_mixed", 0.0, 1.0),
+        ):
+            value = getattr(self, name)
+            if not (_finite_number(value) and low < value <= high):
+                raise ConfigError(f"{name} must be a number in ({low:g}, {high:g}], got {value!r}")
+        for name in ("t_post_fixed_ms", "t_post_per_detection_ms"):
+            value = getattr(self, name)
+            if not (_finite_number(value) and 0.0 <= value <= _MAX_PRICE_MS):
+                raise ConfigError(
+                    f"{name} must be a number in [0, {_MAX_PRICE_MS:g}], got {value!r}"
+                )
+        for name, low in (("q1_capacity", 1), ("q2_capacity", 1), ("warmup_frames", 0)):
+            if not _integer_at_least(getattr(self, name), low):
+                raise ConfigError(f"{name} must be an integer >= {low}, got {getattr(self, name)!r}")
 
-    def latency_for(self, precision: Precision) -> LatencyModel:
-        kappa = self.kappa_full if precision is Precision.FULL else self.kappa_mixed
-        return LatencyModel(self.t_fixed_ms, self.t_image_ms, kappa)
+    def infer_ms(self, precision: Precision, batch_size: int) -> float:
+        """Milliseconds one inference call on ``batch_size`` frames stalls for."""
+        if batch_size < 1:
+            raise ConfigError(f"batch size must be >= 1, got {batch_size}")
+        kappa = 1.0 if precision is Precision.FULL else self.kappa_mixed
+        return self.t_fixed_ms + batch_size * self.t_image_ms * kappa
 
     def post_ms(self, n_detections: int) -> float:
         return self.t_post_fixed_ms + self.t_post_per_detection_ms * n_detections
@@ -251,8 +281,7 @@ def predicted_fps(config: PipelineConfig, mode: PipelineMode, detections_per_fra
     source slower than this rate leaves the parallel runtime smaller batches
     and idle time, and runs at the source's rate.
     """
-    latency = config.latency_for(mode.precision)
-    model_ms = emulated_latency(latency, mode.batch_size) / mode.batch_size
+    model_ms = config.infer_ms(mode.precision, mode.batch_size) / mode.batch_size
     post_ms = config.post_ms(detections_per_frame)
     if mode.execution is ExecutionMode.PARALLEL:
         return 1000.0 / max(model_ms, post_ms)
@@ -285,7 +314,6 @@ class _Runner:
         self.tracker = tracker
         self.mode = mode
         self.config = config
-        self.latency = config.latency_for(mode.precision)
         self.quantize = mode.precision is Precision.MIXED
         self.started = time.perf_counter()
         self.output_times: list[float] = []  # when each frame's post-processing ended
@@ -306,7 +334,7 @@ class _Runner:
         """Stall for each batch's emulated inference price, then release its frames."""
         for batch in batches:
             start = time.perf_counter()
-            self._stall("infer", emulated_latency(self.latency, len(batch)) / 1000.0)
+            self._stall("infer", self.config.infer_ms(self.mode.precision, len(batch)) / 1000.0)
             self.busy["infer"] += time.perf_counter() - start
             self.batches += 1
             yield from batch

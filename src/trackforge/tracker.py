@@ -62,7 +62,7 @@ from .errors import (
     InvalidBoxError,
     OrderingError,
 )
-from .motion import CHI2_GATE_95_4DOF, KalmanFilter, KalmanState, MotionNoise, Projection
+from .motion import CHI2_GATE_95_4DOF, KalmanFilter, KalmanState, Projection
 from .postproc import filter_confidence, nms
 
 GATE_METRICS = ("mahalanobis", "euclidean")
@@ -125,7 +125,6 @@ class TrackerConfig:
     max_lost: int = 30
     min_hits: int = 1  # 1 reports tracks from their first frame
     embedding_dim: int = 512
-    motion_noise: MotionNoise = MotionNoise()
 
     def __post_init__(self) -> None:
         for name in (
@@ -183,7 +182,7 @@ class Tracker:
 
     def __init__(self, config: TrackerConfig | None = None) -> None:
         self.config = config or TrackerConfig()
-        self._filter = KalmanFilter(self.config.motion_noise)
+        self._filter = KalmanFilter()
         none = np.zeros(0, dtype=np.int64)
         self.tracks = Tracks(none, none, none, none, np.zeros((0, 8)), np.zeros((0, 8, 8)),
                              np.zeros((0, self.config.embedding_dim), dtype=np.float32))

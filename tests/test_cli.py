@@ -358,6 +358,32 @@ class TestConfigFile:
         field = json.loads(tracker.replace("NaN", "0").replace("Infinity", "0")).popitem()[0]
         assert field.replace("_", " " if field == "gate_metric" else "_") in result.output
 
+    # Each would run with NaN prices, skip every post stall, overflow
+    # time.sleep or stall for hours if the config accepted it.
+    @pytest.mark.parametrize(
+        "pipeline",
+        [
+            '{"t_fixed_ms": NaN}',
+            '{"t_post_fixed_ms": NaN}',
+            '{"t_post_per_detection_ms": Infinity}',
+            '{"t_fixed_ms": 1e300}',
+            '{"t_post_fixed_ms": 1e12}',
+            '{"kappa_mixed": NaN}',
+            '{"kappa_full": 1.0}',
+        ],
+    )
+    def test_bad_pipeline_value_exits_two(self, runner, tmp_path, pipeline):
+        runner.invoke(main, synth_args(tmp_path, frames=5))
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"pipeline": {pipeline}}}')
+        result = runner.invoke(main, [
+            "track", "--scenario", str(tmp_path / "scen.json"),
+            "--config", str(bad), "--out", str(tmp_path / "res.txt"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert pipeline.split('"')[1] in result.output
+        assert not (tmp_path / "res.txt").exists()
+
     def test_removed_busy_wait_key_exits_two(self, runner, tmp_path):
         runner.invoke(main, synth_args(tmp_path, frames=5))
         bad = tmp_path / "bad.json"

@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 from trackforge import detgen
 from trackforge.core import BoundingBox, cosine_distance, normalize
 from trackforge.detgen import (
-    LatencyModel,
     NoiseParams,
     ScenarioConfig,
     ScenarioObject,
-    emulated_latency,
     file_frames,
     generate_frame,
     identity_embeddings,
@@ -36,6 +34,7 @@ from trackforge.errors import (
     InvalidBoxError,
     ParseError,
 )
+from trackforge.pipeline import PipelineConfig, Precision
 from oracles import generate_frame_reference
 
 DIM = 16
@@ -249,38 +248,56 @@ class TestNoiseParams:
 
 
 class TestLatencyModel:
+    """The emulated inference price, ``PipelineConfig.infer_ms``."""
+
     def test_full_precision_batch_one(self):
-        assert emulated_latency(LatencyModel(8.0, 34.0, 1.0), 1) == pytest.approx(42.0)
+        config = PipelineConfig(t_fixed_ms=8.0, t_image_ms=34.0)
+        assert config.infer_ms(Precision.FULL, 1) == pytest.approx(42.0)
 
     def test_mixed_precision_batch_one(self):
-        assert emulated_latency(LatencyModel(8.0, 34.0, 0.786), 1) == pytest.approx(34.724)
+        config = PipelineConfig(t_fixed_ms=8.0, t_image_ms=34.0, kappa_mixed=0.786)
+        assert config.infer_ms(Precision.MIXED, 1) == pytest.approx(34.724)
 
     def test_mixed_precision_batch_four(self):
-        value = emulated_latency(LatencyModel(8.0, 34.0, 0.786), 4)
+        value = PipelineConfig(8.0, 34.0, 0.786).infer_ms(Precision.MIXED, 4)
         assert value == pytest.approx(114.896)
         assert value / 4 == pytest.approx(28.724)
 
     def test_strictly_increasing_in_batch(self):
-        model = LatencyModel()
-        values = [emulated_latency(model, b) for b in range(1, 11)]
-        assert all(b > a for a, b in zip(values, values[1:]))
+        config = PipelineConfig()
+        for precision in Precision:
+            values = [config.infer_ms(precision, b) for b in range(1, 11)]
+            assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_strictly_decreasing_in_kappa(self):
         values = [
-            emulated_latency(LatencyModel(kappa=k), 4) for k in (1.0, 0.9, 0.786, 0.5)
+            PipelineConfig(kappa_mixed=k).infer_ms(Precision.MIXED, 4)
+            for k in (1.0, 0.9, 0.786, 0.5)
         ]
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_invalid_batch(self):
         with pytest.raises(ConfigError):
-            emulated_latency(LatencyModel(), 0)
+            PipelineConfig().infer_ms(Precision.FULL, 0)
 
     @pytest.mark.parametrize("kwargs", [
-        {"t_fixed_ms": 0.0}, {"t_image_ms": -1.0}, {"kappa": 0.0}, {"kappa": 1.5},
+        {"t_fixed_ms": 0.0}, {"t_image_ms": -1.0}, {"kappa_mixed": 0.0}, {"kappa_mixed": 1.5},
+        {"t_fixed_ms": math.nan}, {"t_post_fixed_ms": math.nan},
+        {"t_post_per_detection_ms": math.inf}, {"t_fixed_ms": 1e300},
+        {"t_post_fixed_ms": 1e12}, {"kappa_mixed": math.nan}, {"t_image_ms": 60_000.5},
+        {"t_post_fixed_ms": -1e-9}, {"t_image_ms": "34"}, {"t_fixed_ms": True},
+        {"t_post_per_detection_ms": 10**400},
+        {"q1_capacity": 2.5}, {"warmup_frames": math.nan},
     ])
     def test_invalid_model(self, kwargs):
-        with pytest.raises(ConfigError):
-            LatencyModel(**kwargs)
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
+            PipelineConfig(**kwargs)
+
+    def test_range_ends_accepted(self):
+        tiny = math.ulp(0.0)
+        config = PipelineConfig(t_fixed_ms=tiny, t_image_ms=60_000.0, kappa_mixed=1.0,
+                                t_post_fixed_ms=0.0, t_post_per_detection_ms=60_000.0)
+        assert config.infer_ms(Precision.MIXED, 1) == config.infer_ms(Precision.FULL, 1)
 
 
 class TestIdentityEmbeddings:
@@ -297,8 +314,9 @@ class TestIdentityEmbeddings:
             np.testing.assert_array_equal(x, y)
 
     def test_impossible_margin_rejected(self):
+        # No three unit vectors are pairwise farther apart than cosine distance 1.5.
         with pytest.raises(ConfigError):
-            identity_embeddings(50, 4, margin=1.99, seed=0, max_attempts_per_vector=5)
+            identity_embeddings(3, 4, margin=1.99, seed=0)
 
 
 class TestScenarioJson:

@@ -327,7 +327,10 @@ class TestEvaluate:
 
 
 class TestLoadMotTracks:
-    @pytest.mark.parametrize("row", ["inf,1,0,0,10,10,1", "2,1e400,0,0,10,10,1"])
+    # The last two are numbers but not finite ones: a ParseError naming the
+    # line, as detgen.load_mot_detections raises for them.
+    @pytest.mark.parametrize("row", ["inf,1,0,0,10,10,1", "2,1e400,0,0,10,10,1",
+                                     "2,1,nan,0,10,10", "2,1,0,0,10,inf"])
     def test_overflowing_field_names_line(self, tmp_path, row):
         path = tmp_path / "res.txt"
         path.write_text(f"1,1,0,0,10,10,1\n{row}\n")

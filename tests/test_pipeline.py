@@ -284,6 +284,12 @@ class TestModeValidation:
         with pytest.raises(ConfigError):
             PipelineMode(ExecutionMode.PARALLEL, Precision.FULL, 0)
 
+    # A NaN batch size made the parallel mode take nothing and run no frame.
+    @pytest.mark.parametrize("size", [math.nan, 2.5, True])
+    def test_batch_must_be_an_integer(self, size):
+        with pytest.raises(ConfigError, match="batch size"):
+            PipelineMode(ExecutionMode.PARALLEL, Precision.FULL, size)
+
     def test_invalid_queue_capacity(self):
         with pytest.raises(ConfigError):
             PipelineConfig(q1_capacity=0)
@@ -542,7 +548,7 @@ class TestDynamicBatching:
         assert report.batches == math.ceil(25 / 4)
 
     def test_paced_source_runs_batches_of_one_without_fill_wait(self):
-        one_frame_s = pipeline.emulated_latency(PACED_CONFIG.latency_for(Precision.FULL), 1) / 1000
+        one_frame_s = PACED_CONFIG.infer_ms(Precision.FULL, 1) / 1000
         assert PACED_PERIOD_S > one_frame_s
         outputs, report, latency = paced_run(ExecutionMode.PARALLEL)
         assert report.batches == len(outputs) == 16

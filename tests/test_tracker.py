@@ -152,6 +152,17 @@ class TestStepBasics:
         assert_same_state(state_of(tracker), before)
         assert (tracker._next_id, tracker._last_frame) == (2, 0)
 
+    # The centre bound of the gate, 1.01 * threshold * trace(S), overflows to
+    # inf for a box this large: every pair is then a candidate, and the exact
+    # Mahalanobis gate still decides.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gate_bound_overflow_admits_every_pair(self):
+        tracker = Tracker(config(gate_threshold=1e300))
+        for frame in range(3):
+            out = tracker.step(frame, frame_of(det(0, 0, unit(0), w=2e10, h=3e10),
+                                               det(5e10, 0, unit(1), w=2e10, h=3e10)))
+            assert [r[0] for r in out.records] == [1, 2]
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("objectness", [0.9, 0.1])
@@ -327,7 +338,7 @@ class TestRowBookkeeping:
     def test_removing_middle_track_keeps_survivor_rows(self):
         cfg = config(max_lost=2)
         tracker = Tracker(cfg)
-        kf = KalmanFilter(cfg.motion_noise)
+        kf = KalmanFilter()
         starts = {1: 0.0, 2: 200.0, 3: 400.0}
         embeddings = {1: unit(0), 2: unit(1), 3: unit(2)}
         replay, smoothed = {}, {}
